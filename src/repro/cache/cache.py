@@ -38,12 +38,16 @@ class Cache:
         self.config = config
         self.name = name
         self.stats = CacheStats()
+        # geometry, read on every access
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.num_sets
+        self._associativity = config.associativity
         # per-set ordered dict: tag -> dirty flag; ordering is LRU (oldest first)
         self._sets: Dict[int, OrderedDict[int, bool]] = {}
 
     def _index_and_tag(self, address: int) -> Tuple[int, int]:
-        line = address // self.config.line_bytes
-        return line % self.config.num_sets, line // self.config.num_sets
+        line = address // self._line_bytes
+        return line % self._num_sets, line // self._num_sets
 
     def access(self, address: int, is_write: bool = False) -> bool:
         """Access the line containing ``address``; returns True on a hit.
@@ -51,20 +55,24 @@ class Cache:
         On a miss the line is allocated, possibly evicting the LRU line of
         the set (a dirty eviction increments ``writebacks``).
         """
-        self.stats.accesses += 1
+        stats = self.stats
+        stats.accesses += 1
         index, tag = self._index_and_tag(address)
-        lines = self._sets.setdefault(index, OrderedDict())
+        lines = self._sets.get(index)
+        if lines is None:
+            lines = self._sets[index] = OrderedDict()
         if tag in lines:
-            self.stats.hits += 1
-            dirty = lines.pop(tag)
-            lines[tag] = dirty or is_write
+            stats.hits += 1
+            lines.move_to_end(tag)
+            if is_write:
+                lines[tag] = True
             return True
-        self.stats.misses += 1
-        if len(lines) >= self.config.associativity:
+        stats.misses += 1
+        if len(lines) >= self._associativity:
             _evicted_tag, dirty = lines.popitem(last=False)
-            self.stats.evictions += 1
+            stats.evictions += 1
             if dirty:
-                self.stats.writebacks += 1
+                stats.writebacks += 1
         lines[tag] = is_write
         return False
 
@@ -75,9 +83,11 @@ class Cache:
         """
         if size <= 0:
             size = 1
-        line_bytes = self.config.line_bytes
+        line_bytes = self._line_bytes
         first = address // line_bytes
         last = (address + size - 1) // line_bytes
+        if first == last:
+            return 0 if self.access(address, is_write=is_write) else 1
         misses = 0
         for line in range(first, last + 1):
             if not self.access(line * line_bytes, is_write=is_write):

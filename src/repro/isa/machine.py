@@ -1,4 +1,4 @@
-"""Functional interpreter for the IA32-flavoured ISA.
+"""Functional simulator for the IA32-flavoured ISA.
 
 The machine executes a :class:`repro.isa.program.Program` against a shared
 :class:`repro.memory.address_space.AddressSpace` and
@@ -6,6 +6,13 @@ The machine executes a :class:`repro.isa.program.Program` against a shared
 :class:`repro.core.events.InstructionRecord` per retired instruction (plus
 :class:`repro.core.events.AnnotationRecord` objects for the rare high-level
 events).  The emitted stream is the input to the LBA log capture layer.
+
+Each static instruction is translated once, on its first execution, into a
+closure specialised on its opcode and operand shape (a translation cache in
+the style of Shade and Dynamo).  The closure has the record's static fields
+-- event type, register numbers, size, flags, immediate, thread id -- bound
+in, so a retirement computes only addresses, values and the branch target.
+Annotation pseudo-instructions keep their interpretive code.
 
 Faulty behaviour of the *monitored program* (double frees, out-of-bounds
 accesses to unallocated heap memory, reads of uninitialised data, tainted
@@ -15,8 +22,9 @@ it is the lifeguard's job, not the machine's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+import operator
+from dataclasses import dataclass
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
 from repro.isa.instructions import (
@@ -36,6 +44,9 @@ from repro.memory.allocator import AllocationError, HeapAllocator
 
 Record = Union[InstructionRecord, AnnotationRecord]
 RecordObserver = Callable[[Record], None]
+#: A translated instruction: executes one retirement of it on the machine
+#: it is given and returns the records it emitted.
+Translation = Callable[["Machine"], List[Record]]
 
 #: Default heap size given to machines that create their own allocator.
 DEFAULT_HEAP_SIZE = 64 * 1024 * 1024
@@ -117,6 +128,9 @@ class Machine:
         self.halted = False
         self.blocked = False
         self._index = 0
+        #: translation cache, one entry per static instruction, filled on
+        #: first execution (entries never refer back to the machine)
+        self._translations: List[Optional[Translation]] = [None] * len(program)
         stack_top = layout.stack_top - thread_id * (stack_size + 4096)
         self.stack_base = stack_top - stack_size
         self.registers.write(Register.ESP, stack_top)
@@ -156,33 +170,55 @@ class Machine:
         Returns an empty list without advancing when the thread is blocked on
         a lock held by another thread, or when the program has halted.
         """
-        if self.halted or self._index >= len(self.program):
+        index = self._index
+        if self.halted or index >= len(self._translations):
             self.halted = True
             return []
-        instruction = self.program.instructions[self._index]
-        pc = self.program.pc_of(self._index)
-        self.registers.eip = pc
+        self.registers.eip = self.program.code_base + index * INSTRUCTION_BYTES
+        translation = self._translations[index]
+        if translation is None:
+            translation = self._translate(index)
+        return translation(self)
 
+    def _translate(self, index: int) -> Translation:
+        """Translate the instruction at ``index`` and cache the translation."""
+        instruction = self.program.instructions[index]
+        pc = self.program.pc_of(index)
         if instruction.opcode is Opcode.LOCK and self.lock_manager is not None:
-            lock_addr = self._operand_value(instruction.operands[0])
-            if not self.lock_manager.try_acquire(lock_addr, self.thread_id):
-                self.blocked = True
-                return []
-            self.blocked = False
-            self._index += 1
-            self.stats.instructions += 1
-            self.stats.annotations += 1
-            return [
-                AnnotationRecord(
-                    EventType.LOCK, address=lock_addr, thread_id=self.thread_id, pc=pc
-                )
-            ]
+            translation = _translate_blocking_lock(instruction, pc)
+        elif instruction.opcode.is_annotation:
+            translation = _translate_annotation(instruction, pc, index + 1, self.stats)
+        else:
+            context = _Context(
+                self.registers.values, self.registers, self.memory, self.stats,
+                self.thread_id, self.program,
+            )
+            try:
+                translation = _translate_regular(instruction, pc, index + 1, context)
+            except Exception:
+                # A malformed instruction fails when it executes, after it
+                # retires, like any other that raises; nothing is cached.
+                self._index = index + 1
+                self.stats.instructions += 1
+                raise
+        self._translations[index] = translation
+        return translation
 
+    def _acquire_lock(self, instruction: Instruction, pc: int) -> List[Record]:
+        """``LOCK`` under a lock manager: block (retiring nothing) while contended."""
+        lock_addr = self._operand_value(instruction.operands[0])
+        if not self.lock_manager.try_acquire(lock_addr, self.thread_id):
+            self.blocked = True
+            return []
+        self.blocked = False
         self._index += 1
         self.stats.instructions += 1
-        if instruction.opcode.is_annotation:
-            return self._execute_annotation(instruction, pc)
-        return self._execute_regular(instruction, pc)
+        self.stats.annotations += 1
+        return [
+            AnnotationRecord(
+                EventType.LOCK, address=lock_addr, thread_id=self.thread_id, pc=pc
+            )
+        ]
 
     # -------------------------------------------------------------- operand access
 
@@ -203,349 +239,6 @@ class Machine:
         if isinstance(operand, Mem):
             return self.memory.read_uint(self.effective_address(operand), operand.size)
         raise MachineError(f"unsupported operand {operand!r}")
-
-    def _write_operand(self, operand: Operand, value: int) -> None:
-        if isinstance(operand, Reg):
-            self.registers.write(operand.reg, value)
-        elif isinstance(operand, Mem):
-            self.memory.write_uint(self.effective_address(operand), value, operand.size)
-        else:
-            raise MachineError(f"cannot write to operand {operand!r}")
-
-    # -------------------------------------------------------------- regular opcodes
-
-    def _execute_regular(self, instruction: Instruction, pc: int) -> List[Record]:
-        opcode = instruction.opcode
-        handler = _REGULAR_DISPATCH.get(opcode)
-        if handler is None:
-            raise MachineError(f"unimplemented opcode {opcode}")
-        return handler(self, instruction, pc)
-
-    def _record(
-        self,
-        pc: int,
-        event_type: EventType,
-        *,
-        dest: Optional[Operand] = None,
-        src: Optional[Operand] = None,
-        dest_addr: Optional[int] = None,
-        src_addr: Optional[int] = None,
-        size: int = 0,
-        is_load: bool = False,
-        is_store: bool = False,
-        is_cond_test: bool = False,
-        is_indirect_jump: bool = False,
-        immediate: Optional[int] = None,
-    ) -> InstructionRecord:
-        dest_reg = dest.reg.value if isinstance(dest, Reg) else None
-        src_reg = src.reg.value if isinstance(src, Reg) else None
-        base_reg = None
-        index_reg = None
-        mem_operand = None
-        if isinstance(dest, Mem):
-            mem_operand = dest
-        elif isinstance(src, Mem):
-            mem_operand = src
-        if mem_operand is not None:
-            base_reg = mem_operand.base.value if mem_operand.base is not None else None
-            index_reg = mem_operand.index.value if mem_operand.index is not None else None
-        if is_load:
-            self.stats.loads += 1
-        if is_store:
-            self.stats.stores += 1
-        return InstructionRecord(
-            pc=pc,
-            event_type=event_type,
-            dest_reg=dest_reg,
-            src_reg=src_reg,
-            dest_addr=dest_addr,
-            src_addr=src_addr,
-            size=size,
-            is_load=is_load,
-            is_store=is_store,
-            base_reg=base_reg,
-            index_reg=index_reg,
-            is_cond_test=is_cond_test,
-            is_indirect_jump=is_indirect_jump,
-            thread_id=self.thread_id,
-            immediate=immediate,
-        )
-
-    def _exec_mov(self, instruction: Instruction, pc: int) -> List[Record]:
-        dest, src = instruction.dest, instruction.src
-        value = self._operand_value(src)
-        self._write_operand(dest, value)
-        if isinstance(dest, Reg) and isinstance(src, Imm):
-            return [self._record(pc, EventType.IMM_TO_REG, dest=dest, immediate=src.value)]
-        if isinstance(dest, Mem) and isinstance(src, Imm):
-            addr = self.effective_address(dest)
-            return [
-                self._record(
-                    pc, EventType.IMM_TO_MEM, dest=dest, dest_addr=addr,
-                    size=dest.size, is_store=True, immediate=src.value,
-                )
-            ]
-        if isinstance(dest, Reg) and isinstance(src, Reg):
-            return [self._record(pc, EventType.REG_TO_REG, dest=dest, src=src)]
-        if isinstance(dest, Mem) and isinstance(src, Reg):
-            addr = self.effective_address(dest)
-            return [
-                self._record(
-                    pc, EventType.REG_TO_MEM, dest=dest, src=src, dest_addr=addr,
-                    size=dest.size, is_store=True,
-                )
-            ]
-        if isinstance(dest, Reg) and isinstance(src, Mem):
-            addr = self.effective_address(src)
-            return [
-                self._record(
-                    pc, EventType.MEM_TO_REG, dest=dest, src=src, src_addr=addr,
-                    size=src.size, is_load=True,
-                )
-            ]
-        if isinstance(dest, Mem) and isinstance(src, Mem):
-            daddr = self.effective_address(dest)
-            saddr = self.effective_address(src)
-            return [
-                self._record(
-                    pc, EventType.MEM_TO_MEM, dest=dest, src=src, dest_addr=daddr,
-                    src_addr=saddr, size=dest.size, is_load=True, is_store=True,
-                )
-            ]
-        raise MachineError(f"unsupported mov operands {instruction.operands!r}")
-
-    def _exec_movs(self, instruction: Instruction, pc: int) -> List[Record]:
-        count = instruction.count
-        src_addr = self.registers.read(Register.ESI)
-        dest_addr = self.registers.read(Register.EDI)
-        self.memory.copy(dest_addr, src_addr, count)
-        self.registers.write(Register.ESI, src_addr + count)
-        self.registers.write(Register.EDI, dest_addr + count)
-        return [
-            self._record(
-                pc, EventType.MEM_TO_MEM, dest_addr=dest_addr, src_addr=src_addr,
-                size=count, is_load=True, is_store=True,
-            )
-        ]
-
-    def _exec_lea(self, instruction: Instruction, pc: int) -> List[Record]:
-        dest, src = instruction.dest, instruction.src
-        assert isinstance(dest, Reg) and isinstance(src, Mem)
-        self.registers.write(dest.reg, self.effective_address(src))
-        # Address arithmetic produces a "clean" value: model as imm_to_reg.
-        return [self._record(pc, EventType.IMM_TO_REG, dest=dest)]
-
-    def _exec_alu(self, instruction: Instruction, pc: int) -> List[Record]:
-        dest, src = instruction.dest, instruction.src
-        opcode = instruction.opcode
-        lhs = self._operand_value(dest)
-        rhs = self._operand_value(src)
-        result = _ALU_OPS[opcode](lhs, rhs) & WORD_MASK
-        self._write_operand(dest, result)
-        self.registers.last_compare = _signed32(result)
-        if isinstance(dest, Reg) and isinstance(src, Imm):
-            return [self._record(pc, EventType.REG_SELF, dest=dest, immediate=src.value)]
-        if isinstance(dest, Mem) and isinstance(src, Imm):
-            addr = self.effective_address(dest)
-            return [
-                self._record(
-                    pc, EventType.MEM_SELF, dest=dest, dest_addr=addr, size=dest.size,
-                    is_load=True, is_store=True, immediate=src.value,
-                )
-            ]
-        if isinstance(dest, Reg) and isinstance(src, Reg):
-            return [self._record(pc, EventType.DEST_REG_OP_REG, dest=dest, src=src)]
-        if isinstance(dest, Reg) and isinstance(src, Mem):
-            addr = self.effective_address(src)
-            return [
-                self._record(
-                    pc, EventType.DEST_REG_OP_MEM, dest=dest, src=src, src_addr=addr,
-                    size=src.size, is_load=True,
-                )
-            ]
-        if isinstance(dest, Mem) and isinstance(src, Reg):
-            addr = self.effective_address(dest)
-            return [
-                self._record(
-                    pc, EventType.DEST_MEM_OP_REG, dest=dest, src=src, dest_addr=addr,
-                    size=dest.size, is_load=True, is_store=True,
-                )
-            ]
-        raise MachineError(f"unsupported ALU operands {instruction.operands!r}")
-
-    def _exec_shift(self, instruction: Instruction, pc: int) -> List[Record]:
-        dest, src = instruction.dest, instruction.src
-        assert isinstance(src, Imm)
-        value = self._operand_value(dest)
-        amount = src.value & 31
-        result = (value << amount) if instruction.opcode is Opcode.SHL else (value >> amount)
-        self._write_operand(dest, result & WORD_MASK)
-        if isinstance(dest, Reg):
-            return [self._record(pc, EventType.REG_SELF, dest=dest, immediate=src.value)]
-        addr = self.effective_address(dest)
-        return [
-            self._record(
-                pc, EventType.MEM_SELF, dest=dest, dest_addr=addr, size=dest.size,
-                is_load=True, is_store=True, immediate=src.value,
-            )
-        ]
-
-    def _exec_compare(self, instruction: Instruction, pc: int) -> List[Record]:
-        a, b = instruction.operands
-        lhs = self._operand_value(a)
-        rhs = self._operand_value(b)
-        if instruction.opcode is Opcode.CMP:
-            self.registers.last_compare = _signed32(lhs) - _signed32(rhs)
-        else:  # TEST
-            self.registers.last_compare = _signed32(lhs & rhs)
-        src_addr = None
-        size = 0
-        is_load = False
-        mem = a if isinstance(a, Mem) else (b if isinstance(b, Mem) else None)
-        if mem is not None:
-            src_addr = self.effective_address(mem)
-            size = mem.size
-            is_load = True
-        src = a if isinstance(a, Reg) else (b if isinstance(b, Reg) else None)
-        return [
-            self._record(
-                pc, EventType.COND_TEST, src=src, src_addr=src_addr, size=size,
-                is_load=is_load, is_cond_test=True,
-            )
-        ]
-
-    def _exec_push(self, instruction: Instruction, pc: int) -> List[Record]:
-        src = instruction.operands[0]
-        value = self._operand_value(src)
-        esp = (self.registers.read(Register.ESP) - 4) & WORD_MASK
-        self.registers.write(Register.ESP, esp)
-        self.memory.write_uint(esp, value, 4)
-        if isinstance(src, Reg):
-            return [
-                self._record(pc, EventType.REG_TO_MEM, src=src, dest_addr=esp, size=4, is_store=True)
-            ]
-        if isinstance(src, Imm):
-            return [
-                self._record(
-                    pc, EventType.IMM_TO_MEM, dest_addr=esp, size=4, is_store=True,
-                    immediate=src.value,
-                )
-            ]
-        saddr = self.effective_address(src)
-        return [
-            self._record(
-                pc, EventType.MEM_TO_MEM, src=src, dest_addr=esp, src_addr=saddr, size=4,
-                is_load=True, is_store=True,
-            )
-        ]
-
-    def _exec_pop(self, instruction: Instruction, pc: int) -> List[Record]:
-        dest = instruction.operands[0]
-        assert isinstance(dest, Reg)
-        esp = self.registers.read(Register.ESP)
-        value = self.memory.read_uint(esp, 4)
-        self.registers.write(dest.reg, value)
-        self.registers.write(Register.ESP, (esp + 4) & WORD_MASK)
-        return [
-            self._record(pc, EventType.MEM_TO_REG, dest=dest, src_addr=esp, size=4, is_load=True)
-        ]
-
-    def _exec_jmp(self, instruction: Instruction, pc: int) -> List[Record]:
-        self._index = self.program.index_of_label(instruction.target)
-        self.stats.branches_taken += 1
-        return [self._record(pc, EventType.CONTROL)]
-
-    def _exec_jcc(self, instruction: Instruction, pc: int) -> List[Record]:
-        if self.registers.last_compare is None:
-            raise MachineError("conditional jump before any compare")
-        if _evaluate_cond(instruction.cond, self.registers.last_compare):
-            self._index = self.program.index_of_label(instruction.target)
-            self.stats.branches_taken += 1
-        return [self._record(pc, EventType.CONTROL)]
-
-    def _exec_jmp_indirect(self, instruction: Instruction, pc: int) -> List[Record]:
-        src = instruction.operands[0]
-        target = self._operand_value(src)
-        self._jump_to_address(target)
-        self.stats.branches_taken += 1
-        src_addr = self.effective_address(src) if isinstance(src, Mem) else None
-        return [
-            self._record(
-                pc, EventType.INDIRECT_JUMP,
-                src=src if isinstance(src, Reg) else None,
-                src_addr=src_addr, size=src.size if isinstance(src, Mem) else 0,
-                is_load=isinstance(src, Mem), is_indirect_jump=True,
-            )
-        ]
-
-    def _exec_call(self, instruction: Instruction, pc: int) -> List[Record]:
-        esp = (self.registers.read(Register.ESP) - 4) & WORD_MASK
-        self.registers.write(Register.ESP, esp)
-        return_pc = pc + INSTRUCTION_BYTES
-        self.memory.write_uint(esp, return_pc, 4)
-        self._index = self.program.index_of_label(instruction.target)
-        self.stats.branches_taken += 1
-        return [
-            self._record(
-                pc, EventType.IMM_TO_MEM, dest_addr=esp, size=4, is_store=True,
-                immediate=return_pc,
-            )
-        ]
-
-    def _exec_call_indirect(self, instruction: Instruction, pc: int) -> List[Record]:
-        src = instruction.operands[0]
-        target = self._operand_value(src)
-        esp = (self.registers.read(Register.ESP) - 4) & WORD_MASK
-        self.registers.write(Register.ESP, esp)
-        self.memory.write_uint(esp, pc + INSTRUCTION_BYTES, 4)
-        self._jump_to_address(target)
-        self.stats.branches_taken += 1
-        src_addr = self.effective_address(src) if isinstance(src, Mem) else None
-        return [
-            self._record(
-                pc, EventType.INDIRECT_JUMP,
-                src=src if isinstance(src, Reg) else None,
-                src_addr=src_addr, dest_addr=esp, size=4,
-                is_load=isinstance(src, Mem), is_store=True, is_indirect_jump=True,
-            )
-        ]
-
-    def _exec_ret(self, instruction: Instruction, pc: int) -> List[Record]:
-        esp = self.registers.read(Register.ESP)
-        target = self.memory.read_uint(esp, 4)
-        self.registers.write(Register.ESP, (esp + 4) & WORD_MASK)
-        self._jump_to_address(target)
-        self.stats.branches_taken += 1
-        return [
-            self._record(
-                pc, EventType.INDIRECT_JUMP, src_addr=esp, size=4, is_load=True,
-                is_indirect_jump=True,
-            )
-        ]
-
-    def _exec_xchg(self, instruction: Instruction, pc: int) -> List[Record]:
-        a, b = instruction.operands
-        va, vb = self._operand_value(a), self._operand_value(b)
-        self._write_operand(a, vb)
-        self._write_operand(b, va)
-        mem = a if isinstance(a, Mem) else (b if isinstance(b, Mem) else None)
-        addr = self.effective_address(mem) if mem is not None else None
-        return [
-            self._record(
-                pc, EventType.OTHER,
-                dest=a if isinstance(a, Reg) else None,
-                src=b if isinstance(b, Reg) else None,
-                dest_addr=addr, size=mem.size if mem is not None else 0,
-                is_load=mem is not None, is_store=mem is not None,
-            )
-        ]
-
-    def _exec_nop(self, instruction: Instruction, pc: int) -> List[Record]:
-        return [self._record(pc, EventType.CONTROL)]
-
-    def _exec_halt(self, instruction: Instruction, pc: int) -> List[Record]:
-        self.halted = True
-        return [self._record(pc, EventType.CONTROL)]
 
     def _jump_to_address(self, target: int) -> None:
         offset = target - self.program.code_base
@@ -668,54 +361,682 @@ class LockManagerProtocol:
         raise NotImplementedError
 
 
-def _evaluate_cond(cond: Cond, compare: int) -> bool:
-    if cond is Cond.EQ:
-        return compare == 0
-    if cond is Cond.NE:
-        return compare != 0
-    if cond is Cond.LT:
-        return compare < 0
-    if cond is Cond.LE:
-        return compare <= 0
-    if cond is Cond.GT:
-        return compare > 0
-    if cond is Cond.GE:
-        return compare >= 0
-    raise MachineError(f"unknown condition {cond}")
+# ---------------------------------------------------------------------------
+# Translation.
+#
+# ``_translate_regular`` turns one static instruction into a closure over the
+# machine's register list, register file, memory and statistics -- never the
+# machine itself, which each call receives as its argument, so a machine and
+# its translations form no reference cycle.  Every closure first retires its
+# instruction (next index, instruction count), then reads its operands,
+# writes its results and only then counts loads and stores, so an exception
+# leaves the same state whichever shape raised it.  Records are built from
+# the static fields bound at translation time plus the dynamic addresses
+# (``head + addresses + tail``).
+# ---------------------------------------------------------------------------
 
+_new_record = tuple.__new__
+_ESP = int(Register.ESP)
+_ESI = int(Register.ESI)
+_EDI = int(Register.EDI)
 
 _ALU_OPS = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.MUL: lambda a, b: a * b,
+    Opcode.ADD: operator.add,
+    Opcode.SUB: operator.sub,
+    Opcode.AND: operator.and_,
+    Opcode.OR: operator.or_,
+    Opcode.XOR: operator.xor,
+    Opcode.MUL: operator.mul,
 }
 
-_REGULAR_DISPATCH = {
-    Opcode.MOV: Machine._exec_mov,
-    Opcode.MOVS: Machine._exec_movs,
-    Opcode.LEA: Machine._exec_lea,
-    Opcode.ADD: Machine._exec_alu,
-    Opcode.SUB: Machine._exec_alu,
-    Opcode.AND: Machine._exec_alu,
-    Opcode.OR: Machine._exec_alu,
-    Opcode.XOR: Machine._exec_alu,
-    Opcode.MUL: Machine._exec_alu,
-    Opcode.SHL: Machine._exec_shift,
-    Opcode.SHR: Machine._exec_shift,
-    Opcode.CMP: Machine._exec_compare,
-    Opcode.TEST: Machine._exec_compare,
-    Opcode.PUSH: Machine._exec_push,
-    Opcode.POP: Machine._exec_pop,
-    Opcode.JMP: Machine._exec_jmp,
-    Opcode.JCC: Machine._exec_jcc,
-    Opcode.JMP_INDIRECT: Machine._exec_jmp_indirect,
-    Opcode.CALL: Machine._exec_call,
-    Opcode.CALL_INDIRECT: Machine._exec_call_indirect,
-    Opcode.RET: Machine._exec_ret,
-    Opcode.XCHG: Machine._exec_xchg,
-    Opcode.NOP: Machine._exec_nop,
-    Opcode.HALT: Machine._exec_halt,
+#: Branch predicates over the last compare result.
+_CONDITIONS = {
+    Cond.EQ: (0).__eq__,  # compare == 0
+    Cond.NE: (0).__ne__,  # compare != 0
+    Cond.LT: (0).__gt__,  # compare < 0
+    Cond.LE: (0).__ge__,  # compare <= 0
+    Cond.GT: (0).__lt__,  # compare > 0
+    Cond.GE: (0).__le__,  # compare >= 0
+}
+
+
+class _Context(NamedTuple):
+    """The machine state translations bind (everything but the machine)."""
+
+    regs: List[int]
+    registers: RegisterFile
+    memory: AddressSpace
+    stats: MachineStats
+    thread_id: int
+    program: Program
+
+    def template(self, pc: int, event_type: EventType, **fields) -> InstructionRecord:
+        """The record of an instruction, with its dynamic addresses left ``None``."""
+        return InstructionRecord(pc, event_type, thread_id=self.thread_id, **fields)
+
+
+def _slots(template: InstructionRecord, dest: bool, src: bool) -> Tuple[tuple, tuple]:
+    """Split a record template around its dynamic ``dest_addr``/``src_addr`` fields."""
+    return template[: 4 if dest else 5], template[6 if src else 5 :]
+
+
+def _regno(reg: Optional[Register]) -> Optional[int]:
+    return None if reg is None else int(Register(reg))
+
+
+def _reg_of(operand: Optional[Operand]) -> Optional[int]:
+    """Register number of a register operand (``None`` for any other operand)."""
+    return _regno(operand.reg) if isinstance(operand, Reg) else None
+
+
+def _mem_regs(mem: Mem) -> dict:
+    """Record fields naming the address registers of a memory operand."""
+    return {"base_reg": _regno(mem.base), "index_reg": _regno(mem.index)}
+
+
+def _source_fields(src: Union[Reg, Imm]) -> dict:
+    """Record fields naming a register or immediate source operand."""
+    return {"src_reg": _reg_of(src)} if isinstance(src, Reg) else {"immediate": src.value}
+
+
+def _address(mem: Mem, regs: List[int]) -> Callable[[], int]:
+    """Effective-address closure of a memory operand."""
+    disp, base, index, scale = mem.disp, _regno(mem.base), _regno(mem.index), mem.scale
+    if index is None:
+        if base is None:
+            address = disp & WORD_MASK
+            return lambda: address
+        return lambda: (disp + regs[base]) & WORD_MASK
+    if base is None:
+        return lambda: (disp + regs[index] * scale) & WORD_MASK
+    return lambda: (disp + regs[base] + regs[index] * scale) & WORD_MASK
+
+
+def _reader(operand: Optional[Operand], cx: _Context) -> Callable[[], int]:
+    """Closure reading an operand's value (raising for an unreadable operand)."""
+    if isinstance(operand, Imm):
+        value = operand.value & WORD_MASK
+        return lambda: value
+    regs = cx.regs
+    if isinstance(operand, Reg):
+        reg = _regno(operand.reg)
+        return lambda: regs[reg]
+    if isinstance(operand, Mem):
+        address, size, read = _address(operand, regs), operand.size, cx.memory.read_uint
+        return lambda: read(address(), size)
+
+    def unreadable() -> int:
+        raise MachineError(f"unsupported operand {operand!r}")
+
+    return unreadable
+
+
+def _writer(operand: Optional[Operand], cx: _Context) -> Callable[[int], None]:
+    """Closure writing an operand (raising for an unwritable operand)."""
+    regs = cx.regs
+    if isinstance(operand, Reg):
+        reg = _regno(operand.reg)
+
+        def write_reg(value: int) -> None:
+            regs[reg] = value & WORD_MASK
+
+        return write_reg
+    if isinstance(operand, Mem):
+        address, size, write = _address(operand, regs), operand.size, cx.memory.write_uint
+        return lambda value: write(address(), value, size)
+
+    def unwritable(value: int) -> None:
+        raise MachineError(f"cannot write to operand {operand!r}")
+
+    return unwritable
+
+
+def _translate_regular(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    translator = _TRANSLATORS.get(instruction.opcode)
+    if translator is None:
+        raise MachineError(f"unimplemented opcode {instruction.opcode}")
+    return translator(instruction, pc, nxt, cx)
+
+
+def _translate_mov(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    dest, src = instruction.dest, instruction.src
+    regs, stats = cx.regs, cx.stats
+    read, write = cx.memory.read_uint, cx.memory.write_uint
+    if isinstance(dest, Reg) and isinstance(src, (Reg, Imm)):
+        d, value_of = _reg_of(dest), _reader(src, cx)
+        event = EventType.REG_TO_REG if isinstance(src, Reg) else EventType.IMM_TO_REG
+        record = cx.template(pc, event, dest_reg=d, **_source_fields(src))
+
+        def mov_to_reg(machine: Machine) -> List[Record]:
+            machine._index = nxt
+            stats.instructions += 1
+            regs[d] = value_of()
+            return [record]
+
+        return mov_to_reg
+    if isinstance(dest, Reg) and isinstance(src, Mem):
+        d, size, address = _reg_of(dest), src.size, _address(src, regs)
+        # Known defect, kept bit-identical: when the destination is also an
+        # address register, the logged address is recomputed after the load
+        # wrote it, instead of being the address that was read.
+        stale = d in (_regno(src.base), _regno(src.index))
+        head, tail = _slots(cx.template(
+            pc, EventType.MEM_TO_REG, dest_reg=d, size=size, is_load=True, **_mem_regs(src)
+        ), dest=False, src=True)
+
+        def mov_reg_mem(machine: Machine) -> List[Record]:
+            machine._index = nxt
+            stats.instructions += 1
+            addr = address()
+            regs[d] = read(addr, size) & WORD_MASK
+            if stale:
+                addr = address()
+            stats.loads += 1
+            return [_new_record(InstructionRecord, head + (addr,) + tail)]
+
+        return mov_reg_mem
+    if isinstance(dest, Mem) and isinstance(src, (Reg, Imm)):
+        size, address, value_of = dest.size, _address(dest, regs), _reader(src, cx)
+        event = EventType.REG_TO_MEM if isinstance(src, Reg) else EventType.IMM_TO_MEM
+        head, tail = _slots(cx.template(
+            pc, event, size=size, is_store=True, **_source_fields(src), **_mem_regs(dest)
+        ), dest=True, src=False)
+
+        def mov_to_mem(machine: Machine) -> List[Record]:
+            machine._index = nxt
+            stats.instructions += 1
+            addr = address()
+            write(addr, value_of(), size)
+            stats.stores += 1
+            return [_new_record(InstructionRecord, head + (addr,) + tail)]
+
+        return mov_to_mem
+    if isinstance(dest, Mem) and isinstance(src, Mem):
+        dest_address, dest_size = _address(dest, regs), dest.size
+        src_address, src_size = _address(src, regs), src.size
+        head, tail = _slots(cx.template(
+            pc, EventType.MEM_TO_MEM, size=dest_size, is_load=True, is_store=True,
+            **_mem_regs(dest),
+        ), dest=True, src=True)
+
+        def mov_mem_mem(machine: Machine) -> List[Record]:
+            machine._index = nxt
+            stats.instructions += 1
+            src_addr = src_address()
+            value = read(src_addr, src_size)
+            dest_addr = dest_address()
+            write(dest_addr, value, dest_size)
+            stats.loads += 1
+            stats.stores += 1
+            return [_new_record(InstructionRecord, head + (dest_addr, src_addr) + tail)]
+
+        return mov_mem_mem
+    value_of, store = _reader(src, cx), _writer(dest, cx)
+
+    def mov_unsupported(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        store(value_of())  # one of the operands raises
+        raise MachineError(f"unsupported mov operands {instruction.operands!r}")
+
+    return mov_unsupported
+
+
+def _translate_movs(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    count, regs, stats, memory = instruction.count, cx.regs, cx.stats, cx.memory
+    head, tail = _slots(cx.template(
+        pc, EventType.MEM_TO_MEM, size=count, is_load=True, is_store=True
+    ), dest=True, src=True)
+
+    def movs(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        src_addr, dest_addr = regs[_ESI], regs[_EDI]
+        memory.copy(dest_addr, src_addr, count)
+        regs[_ESI] = (src_addr + count) & WORD_MASK
+        regs[_EDI] = (dest_addr + count) & WORD_MASK
+        stats.loads += 1
+        stats.stores += 1
+        return [_new_record(InstructionRecord, head + (dest_addr, src_addr) + tail)]
+
+    return movs
+
+
+def _translate_lea(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    dest, src = instruction.dest, instruction.src
+    assert isinstance(dest, Reg) and isinstance(src, Mem)
+    regs, stats, d, address = cx.regs, cx.stats, _reg_of(dest), _address(src, cx.regs)
+    # Address arithmetic produces a "clean" value: model as imm_to_reg.
+    record = cx.template(pc, EventType.IMM_TO_REG, dest_reg=d)
+
+    def lea(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        regs[d] = address()
+        return [record]
+
+    return lea
+
+
+def _translate_alu(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    dest, src = instruction.dest, instruction.src
+    op = _ALU_OPS[instruction.opcode]
+    regs, registers, stats = cx.regs, cx.registers, cx.stats
+    read, write = cx.memory.read_uint, cx.memory.write_uint
+    if isinstance(dest, Reg) and isinstance(src, (Reg, Imm)):
+        d, value_of = _reg_of(dest), _reader(src, cx)
+        event = EventType.DEST_REG_OP_REG if isinstance(src, Reg) else EventType.REG_SELF
+        record = cx.template(pc, event, dest_reg=d, **_source_fields(src))
+
+        def alu_reg(machine: Machine) -> List[Record]:
+            machine._index = nxt
+            stats.instructions += 1
+            regs[d] = result = op(regs[d], value_of()) & WORD_MASK
+            registers.last_compare = _signed32(result)
+            return [record]
+
+        return alu_reg
+    if isinstance(dest, Reg) and isinstance(src, Mem):
+        d, size, address = _reg_of(dest), src.size, _address(src, regs)
+        stale = d in (_regno(src.base), _regno(src.index))  # the defect of mov reg, mem
+        head, tail = _slots(cx.template(
+            pc, EventType.DEST_REG_OP_MEM, dest_reg=d, size=size, is_load=True,
+            **_mem_regs(src),
+        ), dest=False, src=True)
+
+        def alu_reg_mem(machine: Machine) -> List[Record]:
+            machine._index = nxt
+            stats.instructions += 1
+            addr = address()
+            regs[d] = result = op(regs[d], read(addr, size)) & WORD_MASK
+            registers.last_compare = _signed32(result)
+            if stale:
+                addr = address()
+            stats.loads += 1
+            return [_new_record(InstructionRecord, head + (addr,) + tail)]
+
+        return alu_reg_mem
+    if isinstance(dest, Mem) and isinstance(src, (Reg, Imm)):
+        size, address, value_of = dest.size, _address(dest, regs), _reader(src, cx)
+        event = EventType.DEST_MEM_OP_REG if isinstance(src, Reg) else EventType.MEM_SELF
+        template = cx.template(
+            pc, event, size=size, is_load=True, is_store=True, **_source_fields(src),
+            **_mem_regs(dest),
+        )
+        head, tail = _slots(template, dest=True, src=False)
+
+        def alu_mem(machine: Machine) -> List[Record]:
+            machine._index = nxt
+            stats.instructions += 1
+            addr = address()
+            result = op(read(addr, size), value_of()) & WORD_MASK
+            write(addr, result, size)
+            registers.last_compare = _signed32(result)
+            stats.loads += 1
+            stats.stores += 1
+            return [_new_record(InstructionRecord, head + (addr,) + tail)]
+
+        return alu_mem
+    lhs_of, rhs_of, store = _reader(dest, cx), _reader(src, cx), _writer(dest, cx)
+
+    def alu_unsupported(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        result = op(lhs_of(), rhs_of()) & WORD_MASK
+        store(result)
+        registers.last_compare = _signed32(result)
+        raise MachineError(f"unsupported ALU operands {instruction.operands!r}")
+
+    return alu_unsupported
+
+
+def _translate_shift(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    dest, src = instruction.dest, instruction.src
+    assert isinstance(src, Imm)
+    op = operator.lshift if instruction.opcode is Opcode.SHL else operator.rshift
+    amount, regs, stats = src.value & 31, cx.regs, cx.stats
+    if isinstance(dest, Reg):
+        d = _reg_of(dest)
+        record = cx.template(pc, EventType.REG_SELF, dest_reg=d, immediate=src.value)
+
+        def shift_reg(machine: Machine) -> List[Record]:
+            machine._index = nxt
+            stats.instructions += 1
+            regs[d] = op(regs[d], amount) & WORD_MASK
+            return [record]
+
+        return shift_reg
+    if not isinstance(dest, Mem):
+        # Reading an immediate has no effect, so failing now is failing first.
+        _reader(dest, cx)()
+        raise MachineError(f"cannot write to operand {dest!r}")
+    size, address = dest.size, _address(dest, regs)
+    read, write = cx.memory.read_uint, cx.memory.write_uint
+    head, tail = _slots(cx.template(
+        pc, EventType.MEM_SELF, size=size, is_load=True, is_store=True,
+        immediate=src.value, **_mem_regs(dest),
+    ), dest=True, src=False)
+
+    def shift_mem(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        addr = address()
+        write(addr, op(read(addr, size), amount) & WORD_MASK, size)
+        stats.loads += 1
+        stats.stores += 1
+        return [_new_record(InstructionRecord, head + (addr,) + tail)]
+
+    return shift_mem
+
+
+def _translate_compare(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    a, b = instruction.operands
+    is_cmp = instruction.opcode is Opcode.CMP
+    regs, registers, stats = cx.regs, cx.registers, cx.stats
+    mem = a if isinstance(a, Mem) else (b if isinstance(b, Mem) else None)
+    src = a if isinstance(a, Reg) else (b if isinstance(b, Reg) else None)
+    template = cx.template(
+        pc, EventType.COND_TEST, src_reg=_reg_of(src), size=mem.size if mem else 0,
+        is_load=mem is not None, is_cond_test=True,
+    )
+    lhs_of, rhs_of = _reader(a, cx), _reader(b, cx)
+    address = _address(mem, regs) if mem is not None else None
+    head, tail = _slots(template, dest=False, src=True)
+
+    def compare(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        lhs, rhs = lhs_of(), rhs_of()
+        if is_cmp:
+            registers.last_compare = _signed32(lhs) - _signed32(rhs)
+        else:
+            registers.last_compare = _signed32(lhs & rhs)
+        if address is None:
+            return [template]
+        stats.loads += 1
+        return [_new_record(InstructionRecord, head + (address(),) + tail)]
+
+    return compare
+
+
+def _translate_push(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    src = instruction.operands[0]
+    regs, stats, write = cx.regs, cx.stats, cx.memory.write_uint
+    value_of, address = _reader(src, cx), None
+    if isinstance(src, Reg):
+        template = cx.template(
+            pc, EventType.REG_TO_MEM, src_reg=_reg_of(src), size=4, is_store=True
+        )
+    elif isinstance(src, Imm):
+        template = cx.template(
+            pc, EventType.IMM_TO_MEM, size=4, is_store=True, immediate=src.value
+        )
+    elif isinstance(src, Mem):
+        template = cx.template(
+            pc, EventType.MEM_TO_MEM, size=4, is_load=True, is_store=True, **_mem_regs(src)
+        )
+        address = _address(src, regs)
+    else:
+        value_of()  # raises: reading the operand is the push's first effect
+    head, tail = _slots(template, dest=True, src=address is not None)
+
+    def push(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        value = value_of()
+        regs[_ESP] = esp = (regs[_ESP] - 4) & WORD_MASK
+        write(esp, value, 4)
+        stats.stores += 1
+        if address is None:
+            return [_new_record(InstructionRecord, head + (esp,) + tail)]
+        # The source address is taken after the stack pointer moved.
+        stats.loads += 1
+        return [_new_record(InstructionRecord, head + (esp, address()) + tail)]
+
+    return push
+
+
+def _translate_pop(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    dest = instruction.operands[0]
+    assert isinstance(dest, Reg)
+    d, regs, stats, read = _reg_of(dest), cx.regs, cx.stats, cx.memory.read_uint
+    head, tail = _slots(cx.template(
+        pc, EventType.MEM_TO_REG, dest_reg=d, size=4, is_load=True
+    ), dest=False, src=True)
+
+    def pop(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        esp = regs[_ESP]
+        regs[d] = read(esp, 4)
+        regs[_ESP] = (esp + 4) & WORD_MASK
+        stats.loads += 1
+        return [_new_record(InstructionRecord, head + (esp,) + tail)]
+
+    return pop
+
+
+def _translate_jmp(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    target, stats = cx.program.index_of_label(instruction.target), cx.stats
+    record = cx.template(pc, EventType.CONTROL)
+
+    def jmp(machine: Machine) -> List[Record]:
+        machine._index = target
+        stats.instructions += 1
+        stats.branches_taken += 1
+        return [record]
+
+    return jmp
+
+
+def _translate_jcc(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    taken = _CONDITIONS.get(instruction.cond)
+    if taken is None:
+        raise MachineError(f"unknown condition {instruction.cond}")
+    target, registers, stats = cx.program.index_of_label(instruction.target), cx.registers, cx.stats
+    record = cx.template(pc, EventType.CONTROL)
+
+    def jcc(machine: Machine) -> List[Record]:
+        stats.instructions += 1
+        compare = registers.last_compare
+        if compare is None:
+            machine._index = nxt
+            raise MachineError("conditional jump before any compare")
+        if taken(compare):
+            machine._index = target
+            stats.branches_taken += 1
+        else:
+            machine._index = nxt
+        return [record]
+
+    return jcc
+
+
+def _translate_jmp_indirect(instruction: Instruction, pc: int, nxt: int,
+                            cx: _Context) -> Translation:
+    src = instruction.operands[0]
+    target_of, stats = _reader(src, cx), cx.stats
+    address = _address(src, cx.regs) if isinstance(src, Mem) else None
+    template = cx.template(
+        pc, EventType.INDIRECT_JUMP, src_reg=_reg_of(src),
+        size=src.size if address is not None else 0, is_load=address is not None,
+        is_indirect_jump=True,
+    )
+    head, tail = _slots(template, dest=False, src=True)
+
+    def jmp_indirect(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        machine._jump_to_address(target_of())
+        stats.branches_taken += 1
+        if address is None:
+            return [template]
+        stats.loads += 1
+        return [_new_record(InstructionRecord, head + (address(),) + tail)]
+
+    return jmp_indirect
+
+
+def _translate_call(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    target, regs, stats, write = (
+        cx.program.index_of_label(instruction.target), cx.regs, cx.stats, cx.memory.write_uint
+    )
+    return_pc = pc + INSTRUCTION_BYTES
+    head, tail = _slots(cx.template(
+        pc, EventType.IMM_TO_MEM, size=4, is_store=True, immediate=return_pc
+    ), dest=True, src=False)
+
+    def call(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        regs[_ESP] = esp = (regs[_ESP] - 4) & WORD_MASK
+        write(esp, return_pc, 4)
+        machine._index = target
+        stats.branches_taken += 1
+        stats.stores += 1
+        return [_new_record(InstructionRecord, head + (esp,) + tail)]
+
+    return call
+
+
+def _translate_call_indirect(instruction: Instruction, pc: int, nxt: int,
+                             cx: _Context) -> Translation:
+    src = instruction.operands[0]
+    regs, stats, write = cx.regs, cx.stats, cx.memory.write_uint
+    target_of = _reader(src, cx)
+    address = _address(src, regs) if isinstance(src, Mem) else None
+    return_pc = pc + INSTRUCTION_BYTES
+    head, tail = _slots(cx.template(
+        pc, EventType.INDIRECT_JUMP, src_reg=_reg_of(src), size=4,
+        is_load=address is not None, is_store=True, is_indirect_jump=True,
+    ), dest=True, src=address is not None)
+
+    def call_indirect(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        target = target_of()
+        regs[_ESP] = esp = (regs[_ESP] - 4) & WORD_MASK
+        write(esp, return_pc, 4)
+        machine._jump_to_address(target)
+        stats.branches_taken += 1
+        stats.stores += 1
+        if address is None:
+            return [_new_record(InstructionRecord, head + (esp,) + tail)]
+        # The source address is taken after the stack pointer moved.
+        stats.loads += 1
+        return [_new_record(InstructionRecord, head + (esp, address()) + tail)]
+
+    return call_indirect
+
+
+def _translate_ret(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    regs, stats, read = cx.regs, cx.stats, cx.memory.read_uint
+    head, tail = _slots(cx.template(
+        pc, EventType.INDIRECT_JUMP, size=4, is_load=True, is_indirect_jump=True
+    ), dest=False, src=True)
+
+    def ret(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        esp = regs[_ESP]
+        target = read(esp, 4)
+        regs[_ESP] = (esp + 4) & WORD_MASK
+        machine._jump_to_address(target)
+        stats.branches_taken += 1
+        stats.loads += 1
+        return [_new_record(InstructionRecord, head + (esp,) + tail)]
+
+    return ret
+
+
+def _translate_xchg(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    a, b = instruction.operands
+    stats = cx.stats
+    read_a, read_b, store_a, store_b = _reader(a, cx), _reader(b, cx), _writer(a, cx), _writer(b, cx)
+    mem = a if isinstance(a, Mem) else (b if isinstance(b, Mem) else None)
+    address = _address(mem, cx.regs) if mem is not None else None
+    template = cx.template(
+        pc, EventType.OTHER, dest_reg=_reg_of(a), src_reg=_reg_of(b),
+        size=mem.size if mem else 0, is_load=mem is not None, is_store=mem is not None,
+    )
+    head, tail = _slots(template, dest=True, src=False)
+
+    def xchg(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        value_a, value_b = read_a(), read_b()
+        store_a(value_b)
+        store_b(value_a)
+        if address is None:
+            return [template]
+        # The address is taken after both writes.
+        stats.loads += 1
+        stats.stores += 1
+        return [_new_record(InstructionRecord, head + (address(),) + tail)]
+
+    return xchg
+
+
+def _translate_nop(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    stats, record = cx.stats, cx.template(pc, EventType.CONTROL)
+
+    def nop(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        return [record]
+
+    return nop
+
+
+def _translate_halt(instruction: Instruction, pc: int, nxt: int, cx: _Context) -> Translation:
+    stats, record = cx.stats, cx.template(pc, EventType.CONTROL)
+
+    def halt(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        machine.halted = True
+        return [record]
+
+    return halt
+
+
+def _translate_annotation(instruction: Instruction, pc: int, nxt: int,
+                          stats: MachineStats) -> Translation:
+    def annotation(machine: Machine) -> List[Record]:
+        machine._index = nxt
+        stats.instructions += 1
+        return machine._execute_annotation(instruction, pc)
+
+    return annotation
+
+
+def _translate_blocking_lock(instruction: Instruction, pc: int) -> Translation:
+    return lambda machine: machine._acquire_lock(instruction, pc)
+
+
+_TRANSLATORS = {
+    Opcode.MOV: _translate_mov,
+    Opcode.MOVS: _translate_movs,
+    Opcode.LEA: _translate_lea,
+    Opcode.ADD: _translate_alu,
+    Opcode.SUB: _translate_alu,
+    Opcode.AND: _translate_alu,
+    Opcode.OR: _translate_alu,
+    Opcode.XOR: _translate_alu,
+    Opcode.MUL: _translate_alu,
+    Opcode.SHL: _translate_shift,
+    Opcode.SHR: _translate_shift,
+    Opcode.CMP: _translate_compare,
+    Opcode.TEST: _translate_compare,
+    Opcode.PUSH: _translate_push,
+    Opcode.POP: _translate_pop,
+    Opcode.JMP: _translate_jmp,
+    Opcode.JCC: _translate_jcc,
+    Opcode.JMP_INDIRECT: _translate_jmp_indirect,
+    Opcode.CALL: _translate_call,
+    Opcode.CALL_INDIRECT: _translate_call_indirect,
+    Opcode.RET: _translate_ret,
+    Opcode.XCHG: _translate_xchg,
+    Opcode.NOP: _translate_nop,
+    Opcode.HALT: _translate_halt,
 }

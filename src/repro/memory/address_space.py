@@ -14,6 +14,7 @@ from typing import Dict, Iterator, Tuple
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
+PAGE_MASK = PAGE_SIZE - 1
 ADDRESS_BITS = 32
 ADDRESS_MASK = (1 << ADDRESS_BITS) - 1
 
@@ -107,11 +108,25 @@ class AddressSpace:
 
     def read_uint(self, address: int, size: int = 4) -> int:
         """Read an unsigned little-endian integer of ``size`` bytes."""
+        offset = address & PAGE_MASK
+        if 0 < size <= PAGE_SIZE - offset and 0 <= address <= ADDRESS_MASK:
+            # Within one page: no intermediate buffer.
+            self.bytes_read += size
+            page = self._pages.get(address >> PAGE_SHIFT)
+            if page is None:
+                return 0
+            return int.from_bytes(page[offset : offset + size], "little")
         return int.from_bytes(self.read(address, size), "little")
 
     def write_uint(self, address: int, value: int, size: int = 4) -> None:
         """Write an unsigned little-endian integer of ``size`` bytes."""
         value &= (1 << (8 * size)) - 1
+        offset = address & PAGE_MASK
+        if 0 < size <= PAGE_SIZE - offset and 0 <= address <= ADDRESS_MASK:
+            self.bytes_written += size
+            page = self._page_for(address, create=True)
+            page[offset : offset + size] = value.to_bytes(size, "little")
+            return
         self.write(address, value.to_bytes(size, "little"))
 
     def fill(self, address: int, size: int, byte: int = 0) -> None:
