@@ -4,6 +4,11 @@ The model is functional-with-latency: it tracks which lines are resident
 (tags + LRU order per set) and reports hit/miss so the hierarchy can charge
 latencies, but does not store data (the functional state of the program
 lives in :class:`repro.memory.address_space.AddressSpace`).
+
+A cache remembers the line of its last access.  That line is always the
+most recently used line of its set, so a repeat access to it is a hit that
+changes no LRU order; most accesses are such repeats, and they skip the
+index/tag arithmetic and the set lookup.
 """
 
 from __future__ import annotations
@@ -44,6 +49,16 @@ class Cache:
         self._associativity = config.associativity
         # per-set ordered dict: tag -> dirty flag; ordering is LRU (oldest first)
         self._sets: Dict[int, OrderedDict[int, bool]] = {}
+        self._forget_mru()
+
+    def _forget_mru(self) -> None:
+        # The last-accessed line as the byte range [_mru_base, _mru_end),
+        # its set and its tag; the empty range [0, 0) matches no access.
+        # MemoryHierarchy ports read these fields to inline the repeat hit.
+        self._mru_base = 0
+        self._mru_end = 0
+        self._mru_lines: Optional[OrderedDict[int, bool]] = None
+        self._mru_tag = 0
 
     def _index_and_tag(self, address: int) -> Tuple[int, int]:
         line = address // self._line_bytes
@@ -57,10 +72,22 @@ class Cache:
         """
         stats = self.stats
         stats.accesses += 1
-        index, tag = self._index_and_tag(address)
+        if self._mru_base <= address < self._mru_end:
+            stats.hits += 1
+            if is_write:
+                self._mru_lines[self._mru_tag] = True
+            return True
+        line_bytes = self._line_bytes
+        line = address // line_bytes
+        index = line % self._num_sets
+        tag = line // self._num_sets
         lines = self._sets.get(index)
         if lines is None:
             lines = self._sets[index] = OrderedDict()
+        self._mru_base = base = line * line_bytes
+        self._mru_end = base + line_bytes
+        self._mru_lines = lines
+        self._mru_tag = tag
         if tag in lines:
             stats.hits += 1
             lines.move_to_end(tag)
@@ -99,9 +126,22 @@ class Cache:
         index, tag = self._index_and_tag(address)
         return tag in self._sets.get(index, ())
 
+    def state_signature(self) -> Tuple[Tuple[int, Tuple[Tuple[int, bool], ...]], ...]:
+        """Hashable snapshot of the resident lines *including LRU order*.
+
+        One ``(set_index, ((tag, dirty), ...))`` pair per non-empty set, in
+        set-index order, each set listed oldest line first.
+        """
+        return tuple(
+            (index, tuple(lines.items()))
+            for index, lines in sorted(self._sets.items())
+            if lines
+        )
+
     def invalidate_all(self) -> None:
         """Drop every resident line (used when reconfiguring between runs)."""
         self._sets.clear()
+        self._forget_mru()
 
     def resident_lines(self) -> int:
         """Number of lines currently resident."""

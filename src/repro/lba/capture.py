@@ -3,10 +3,11 @@
 Wraps the application machine (single- or multi-threaded) and, for each
 record it emits, computes the application-core cycle cost of the retiring
 instruction (1 cycle base for the in-order core plus instruction-fetch and
-data-access latencies through the core's private caches and the shared L2)
-and the exact compressed log bytes written (sized by the binary codec in
-stream context).  The resulting ``(record, app_cycles)`` stream feeds the
-coupling model.
+data-access latencies through the core's private caches and the shared L2,
+charged through cache ports bound once per producer) and the exact
+compressed log bytes written (counted by the codec's size twin in stream
+context, without encoding the record).  The resulting
+``(record, app_cycles)`` stream feeds the coupling model.
 
 The producer can additionally *tee* every record it emits into a
 :class:`repro.trace.tracefile.TraceWriter`, capturing the run as a chunked
@@ -23,7 +24,7 @@ from repro.cache.hierarchy import AccessType, MemoryHierarchy
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
 from repro.isa.machine import Machine
 from repro.isa.threads import ThreadedMachine
-from repro.lba.record import RecordSizer
+from repro.trace.codec import RecordEncoder
 
 Record = Union[InstructionRecord, AnnotationRecord]
 ApplicationMachine = Union[Machine, ThreadedMachine]
@@ -128,33 +129,14 @@ class LogProducer:
         self.trace_writer = trace_writer
         self.core_index = core_index
         self.stats = ProducerStats()
-        self._sizer = RecordSizer()
-
-    def _record_cost(self, record: Record) -> int:
-        if isinstance(record, AnnotationRecord):
-            self.stats.annotations += 1
-            return _ANNOTATION_APP_CYCLES.get(record.event_type, 50)
-        self.stats.instructions += 1
-        cycles = 1
-        if self.hierarchy is not None:
-            core = self.core_index
-            cycles = self.hierarchy.access(
-                core, record.pc, AccessType.INSTRUCTION_FETCH, size=4
-            )
-            if record.is_load and record.src_addr is not None:
-                cycles += self.hierarchy.access(
-                    core, record.src_addr, AccessType.DATA_READ, record.size or 4
-                )
-            if record.is_store and record.dest_addr is not None:
-                cycles += self.hierarchy.access(
-                    core, record.dest_addr, AccessType.DATA_WRITE, record.size or 4
-                )
+        # the codec's size twin, in this channel's stream context
+        self._log_size = RecordEncoder().advance
+        if hierarchy is not None:
+            self._fetch = hierarchy.port(core_index, AccessType.INSTRUCTION_FETCH)
+            self._read = hierarchy.port(core_index, AccessType.DATA_READ)
+            self._write = hierarchy.port(core_index, AccessType.DATA_WRITE)
         else:
-            if record.is_load:
-                cycles += 1
-            if record.is_store:
-                cycles += 1
-        return cycles
+            self._fetch = self._read = self._write = None
 
     def account(self, record: Record) -> int:
         """Account one record through this producer's log channel.
@@ -166,10 +148,27 @@ class LogProducer:
         machine emits; the multi-core platform calls it directly for the
         records routed to this core's channel.
         """
-        cost = self._record_cost(record)
-        self.stats.records += 1
-        self.stats.app_cycles += cost
-        self.stats.log_bytes += self._sizer.size(record)
+        stats = self.stats
+        if isinstance(record, AnnotationRecord):
+            stats.annotations += 1
+            cost = _ANNOTATION_APP_CYCLES.get(record.event_type, 50)
+        else:
+            stats.instructions += 1
+            (pc, _event_type, _dest_reg, _src_reg, dest_addr, src_addr, size, is_load,
+             is_store, _base_reg, _index_reg, _cond_test, _indirect_jump, _thread_id,
+             _immediate) = record
+            fetch = self._fetch
+            if fetch is None:
+                cost = 1 + (1 if is_load else 0) + (1 if is_store else 0)
+            else:
+                cost = fetch(pc, 4)
+                if is_load and src_addr is not None:
+                    cost += self._read(src_addr, size or 4)
+                if is_store and dest_addr is not None:
+                    cost += self._write(dest_addr, size or 4)
+        stats.records += 1
+        stats.app_cycles += cost
+        stats.log_bytes += self._log_size(record)
         if self.trace_writer is not None:
             self.trace_writer.append(record)
         return cost

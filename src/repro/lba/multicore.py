@@ -431,9 +431,7 @@ class MultiCoreLBASystem:
         :meth:`LBASystem.run`.  The fast paths live on the offline side:
         captured per-core traces replay through the columnar engine
         (:class:`repro.trace.replay.MultiTraceReplay` decodes each shard's
-        chunks straight into columns), and per-record-resolution batch
-        consumers without a shared hierarchy can use
-        :meth:`EventDispatcher.consume_each`.
+        chunks straight into columns).
         """
         channels = self.channels
         shards = self.shards

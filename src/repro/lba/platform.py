@@ -23,7 +23,7 @@ from repro.core.config import SystemConfig
 from repro.core.events import AnnotationRecord, EventType
 from repro.isa.machine import Machine, MachineStats
 from repro.isa.threads import ThreadedMachine
-from repro.lba.capture import LogProducer, ProducerStats
+from repro.lba.capture import LogProducer, ProducerStats, iter_machine_records
 from repro.lba.dispatch import DispatchStats, EventDispatcher
 from repro.lba.timing import CouplingModel, TimingBreakdown
 from repro.lifeguards.base import Lifeguard, MapperStats
@@ -104,13 +104,17 @@ class LBASystem:
 
     def run(self, config_label: str = "") -> MonitoringResult:
         """Run the monitored program to completion and return the result."""
-        for record, app_cost in self.producer.stream():
-            lifeguard_cost = self.dispatcher.consume(record)
+        account = self.producer.account
+        consume = self.dispatcher.consume
+        observe = self.coupling.observe
+        for record in iter_machine_records(self.machine, self.max_instructions):
+            app_cost = account(record)
+            lifeguard_cost = consume(record)
             barrier = (
                 isinstance(record, AnnotationRecord)
                 and record.event_type in _SYSCALL_EVENTS
             )
-            self.coupling.observe(app_cost, lifeguard_cost, syscall_barrier=barrier)
+            observe(app_cost, lifeguard_cost, barrier)
         self.lifeguard.finalize()
         timing = self.coupling.finish()
         mapper = self.lifeguard.mapper_stats()
@@ -134,9 +138,8 @@ def run_unmonitored(machine: ApplicationMachine, max_instructions: int = 5_000_0
     Provided for experiments that want an explicit unmonitored baseline; the
     coupled model's ``app_alone_cycles`` is equivalent.
     """
-    hierarchy = MemoryHierarchy(num_cores=1)
-    producer = LogProducer(machine, hierarchy, max_instructions=max_instructions)
+    account = LogProducer(machine, MemoryHierarchy(num_cores=1)).account
     total = 0
-    for _record, cost in producer.stream():
-        total += cost
+    for record in iter_machine_records(machine, max_instructions):
+        total += account(record)
     return total

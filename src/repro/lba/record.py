@@ -5,13 +5,17 @@ exploiting the redundancy between successive records (deltas of program
 counters and data addresses, presence bitmaps for operand fields).  The
 compressed stream is produced by :mod:`repro.trace.codec`; this module
 exposes its *exact* per-record byte counts to the log-bandwidth accounting
-(log-buffer occupancy, producer statistics), replacing the earlier
-analytic estimate.
+(log-buffer occupancy, producer statistics).  The counts come from
+:meth:`RecordEncoder.advance`, the encoder's size twin: it moves the delta
+chains exactly as encoding does but adds up varint lengths instead of
+writing bytes, so sizing a record costs a few arithmetic operations.
 
 Because the codec delta-encodes against the previous record, in-stream
 sizes are context dependent: hot loops with small PC/address deltas cost
 2-4 bytes per record while a cold record costs more.  Components that
-account a record *stream* hold a :class:`RecordSizer`; the module-level
+account a record *stream* hold a :class:`RecordSizer` (the log buffer,
+which also peeks and rolls back) or, when they only commit, bind a
+stream encoder's ``advance`` directly (the producer); the module-level
 :func:`encoded_record_size` measures a single record out of context
 (fresh delta chains) -- typically larger than the in-stream size, but not
 a bound in either direction, since a stream positioned far from the
@@ -34,13 +38,12 @@ class RecordSizer:
     Wraps a stateful :class:`RecordEncoder` so successive calls see the
     same delta chains the on-wire stream would.  ``measure`` peeks at the
     next record's size without committing it to the stream; ``size``
-    commits (the record is considered appended).
+    commits (the record is considered appended).  Neither encodes: both
+    count through the encoder's size twin.
     """
 
     def __init__(self) -> None:
         self._encoder = RecordEncoder()
-        # every record is encoded into this one buffer, only to be counted
-        self._scratch = bytearray()
 
     def reset(self) -> None:
         """Restart the delta chains (e.g. when the stream restarts)."""
@@ -52,9 +55,7 @@ class RecordSizer:
 
     def size(self, record: Record) -> int:
         """Exact compressed size of ``record``, advancing the stream state."""
-        scratch = self._scratch
-        scratch.clear()
-        return self._encoder.encode_into(scratch, record)
+        return self._encoder.advance(record)
 
     def state(self) -> Tuple[int, int]:
         """Snapshot of the stream state (see :meth:`rollback`)."""
@@ -72,4 +73,4 @@ def encoded_record_size(record: Record) -> int:
     cross-record compression; this stand-alone form is what one record
     costs at a chunk boundary.
     """
-    return len(RecordEncoder().encode(record))
+    return RecordEncoder().advance(record)

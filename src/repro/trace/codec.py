@@ -108,6 +108,13 @@ def _write_varint(out: bytearray, value: int) -> None:
     out.append(value)
 
 
+def _varint_size(value: int) -> int:
+    """Byte count :func:`_write_varint` would append for ``value``."""
+    if value < 0:
+        raise TraceCodecError(f"varint value must be unsigned, got {value}")
+    return 1 if value < 0x80 else (value.bit_length() + 6) // 7
+
+
 def _read_varint(data: bytes, offset: int) -> Tuple[int, int]:
     """Read an unsigned LEB128 varint; returns ``(value, next_offset)``."""
     value = 0
@@ -168,11 +175,67 @@ class RecordEncoder:
             raise TraceCodecError(f"cannot encode {type(record).__name__}")
         return len(out) - before
 
+    def advance(self, record: Record) -> int:
+        """Byte count :meth:`encode_into` would append for ``record``.
+
+        The size twin of :meth:`encode_into`: it advances the PC and
+        address delta chains exactly as encoding does, and raises the same
+        :class:`TraceCodecError` in the same cases, but counts varint
+        lengths instead of writing bytes.  Log-bandwidth accounting sizes
+        every retired record through here, so a change to the wire format
+        must change both methods together.
+        """
+        if isinstance(record, AnnotationRecord):
+            return self._advance_annotation(record)
+        if not isinstance(record, InstructionRecord):
+            raise TraceCodecError(f"cannot encode {type(record).__name__}")
+        (pc, event_type, dest_reg, src_reg, dest_addr, src_addr, size, _is_load,
+         is_store, base_reg, index_reg, is_cond_test, is_indirect_jump, thread_id,
+         immediate) = record
+        kind = event_type.ordinal << 1
+        count = 1 if kind < 0x80 else (kind.bit_length() + 6) // 7
+        # The flags varint is one byte unless a bit from 1 << 7 up is set.
+        if (is_store or index_reg is not None or immediate is not None
+                or is_cond_test or is_indirect_jump or thread_id):
+            count += 2
+        else:
+            count += 1
+        delta = pc - self._last_pc
+        delta = (delta << 1) if delta >= 0 else ((-delta) << 1) - 1
+        count += 1 if delta < 0x80 else (delta.bit_length() + 6) // 7
+        self._last_pc = pc
+        if dest_reg is not None:
+            count += 1 if 0 <= dest_reg < 0x80 else _varint_size(dest_reg)
+        if src_reg is not None:
+            count += 1 if 0 <= src_reg < 0x80 else _varint_size(src_reg)
+        if dest_addr is not None:
+            delta = dest_addr - self._last_addr
+            delta = (delta << 1) if delta >= 0 else ((-delta) << 1) - 1
+            count += 1 if delta < 0x80 else (delta.bit_length() + 6) // 7
+            self._last_addr = dest_addr
+        if src_addr is not None:
+            delta = src_addr - self._last_addr
+            delta = (delta << 1) if delta >= 0 else ((-delta) << 1) - 1
+            count += 1 if delta < 0x80 else (delta.bit_length() + 6) // 7
+            self._last_addr = src_addr
+        if base_reg is not None:
+            count += 1 if 0 <= base_reg < 0x80 else _varint_size(base_reg)
+        if index_reg is not None:
+            count += 1 if 0 <= index_reg < 0x80 else _varint_size(index_reg)
+        if immediate is not None:
+            value = (immediate << 1) if immediate >= 0 else ((-immediate) << 1) - 1
+            count += 1 if value < 0x80 else (value.bit_length() + 6) // 7
+        if size:
+            count += 1 if 0 <= size < 0x80 else _varint_size(size)
+        if thread_id:
+            count += 1 if 0 <= thread_id < 0x80 else _varint_size(thread_id)
+        return count
+
     def measure(self, record: Record) -> int:
         """Exact encoded size of ``record`` *without* advancing the state."""
         saved = self.state()
         try:
-            return len(self.encode(record))
+            return self.advance(record)
         finally:
             self.set_state(saved)
 
@@ -230,6 +293,24 @@ class RecordEncoder:
             _write_varint(out, record.size)
         if flags & _F_THREAD:
             _write_varint(out, record.thread_id)
+
+    def _advance_annotation(self, record: AnnotationRecord) -> int:
+        """Size twin of :meth:`_encode_annotation`."""
+        # the flags varint has five bits, so it is always one byte
+        count = _varint_size((record.event_type.ordinal << 1) | 1) + 1
+        if record.address is not None:
+            count += _varint_size(_zigzag(record.address - self._last_addr))
+            self._last_addr = record.address
+        if record.size:
+            count += _varint_size(record.size)
+        if record.thread_id:
+            count += _varint_size(record.thread_id)
+        if record.pc:
+            count += _varint_size(_zigzag(record.pc - self._last_pc))
+            self._last_pc = record.pc
+        if record.payload is not None:
+            count += _varint_size(_zigzag(record.payload))
+        return count
 
     def _encode_annotation(self, out: bytearray, record: AnnotationRecord) -> None:
         _write_varint(out, (record.event_type.ordinal << 1) | 1)

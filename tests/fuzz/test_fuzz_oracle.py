@@ -1,7 +1,7 @@
 """Tier-1 differential-fuzzing block plus oracle mutation smoke tests.
 
 Every seed of the tier-1 block runs the full engine matrix: per-record
-``consume`` (reference), ``consume_batch``, ``consume_each``, the columnar
+``consume`` (reference), ``consume_batch``, the columnar
 engine, a trace-file round-trip replay, the live dual-core platform, and
 the multi-core platform at N in {1, 2, 4} -- asserting bit-identical
 reports/stats/cycles (and internal IT/IF/M-TLB state for the in-process
@@ -67,18 +67,16 @@ class TestOracleCatchesMutations:
         assert excinfo.value.leg == "consume_batch"
 
     def test_miscounted_cycles_are_caught(self, monkeypatch):
-        original = EventDispatcher.consume_each
+        original = EventDispatcher.consume_batch
 
         def inflated(self, records):
-            per_record = original(self, records)
-            if per_record:
-                per_record[-1] += 1  # off-by-one in the last record's cycles
-            return per_record
+            return original(self, records) + 1  # off-by-one in the returned cycles
 
-        monkeypatch.setattr(EventDispatcher, "consume_each", inflated)
+        monkeypatch.setattr(EventDispatcher, "consume_batch", inflated)
         with pytest.raises(FuzzFailure) as excinfo:
-            run_seed(0, engines=("consume", "consume_each"), lifeguards=["AddrCheck"])
-        assert excinfo.value.leg == "consume_each"
+            run_seed(0, engines=("consume", "consume_batch"), lifeguards=["AddrCheck"])
+        assert excinfo.value.leg == "consume_batch"
+        assert "total cycles diverge" in str(excinfo.value)
 
 
 class TestFaultInjectionLeg:

@@ -181,20 +181,6 @@ def test_numpy_kernels_match_per_record(record_streams, lifeguard, workload):
     _assert_accelerator_state_equal(per[1], vectored[1])
 
 
-@pytest.mark.parametrize("workload", ["mcf", "pbzip2"])
-@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
-def test_consume_each_matches_per_record(record_streams, lifeguard, workload):
-    """``consume_each`` returns exactly the per-record cycle sequence."""
-    records = record_streams(workload)
-    per_lifeguard = ALL_LIFEGUARDS[lifeguard]()
-    _, per_dispatcher = build_pipeline(per_lifeguard)
-    expected = [per_dispatcher.consume(record) for record in records]
-    each_lifeguard = ALL_LIFEGUARDS[lifeguard]()
-    _, each_dispatcher = build_pipeline(each_lifeguard)
-    assert each_dispatcher.consume_each(records) == expected
-    assert each_dispatcher.stats.diff(per_dispatcher.stats) == {}
-
-
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
 def test_multicore_single_core_matches_dual_core(lifeguard, workload):
