@@ -1,8 +1,8 @@
 """Hot-path throughput benchmarks with a tracked JSON trajectory.
 
 Measures the consumer pipeline stage by stage -- codec encode/decode
-(object and columnar), shadow-map writes and fills, per-record vs batched
-vs columnar dispatch, and end-to-end trace replay -- and writes the
+(object and columnar), shadow-map writes and fills, per-record vs
+columnar dispatch, and end-to-end trace replay -- and writes the
 results to ``BENCH_hotpath.json`` so the perf trajectory is tracked
 in-repo from PR 2 onward.
 
@@ -271,7 +271,7 @@ def bench_shadow(element_writes, fill_rounds, repeats):
 
 
 def bench_dispatch(records, lifeguard_name, repeats):
-    """Per-record vs batched dispatch over an in-memory record list."""
+    """Per-record vs columnar dispatch over an in-memory record list."""
     stages = {}
 
     def per_record():
@@ -284,16 +284,6 @@ def bench_dispatch(records, lifeguard_name, repeats):
 
     elapsed, per_stats = _best_of(repeats, per_record)
     stages[f"dispatch_per_record_{lifeguard_name}"] = round(len(records) / elapsed)
-
-    def batched():
-        lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
-        _, dispatcher = build_pipeline(lifeguard)
-        dispatcher.consume_batch(records)
-        return dispatcher.stats
-
-    elapsed, batch_stats = _best_of(repeats, batched)
-    stages[f"dispatch_batched_{lifeguard_name}"] = round(len(records) / elapsed)
-    assert per_stats == batch_stats, "batched dispatch diverged from per-record"
 
     columns = RecordColumns.from_records(records)
 

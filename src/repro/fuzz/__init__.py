@@ -3,8 +3,8 @@
 Machine-generated scenario coverage with a ground-truth oracle: seeded,
 structurally diverse (optionally multithreaded, optionally buggy) programs
 from :mod:`repro.workloads.generator` are pushed through *every* dispatch
-engine the platform offers -- the per-record loop, batched dispatch,
-per-record-resolution batch dispatch, the run-grouped columnar engine, the
+engine the platform offers -- the per-record loop, the per-PC translated
+consumer of the live platforms, the run-grouped columnar engine, the
 full live platform, the multi-core platform and offline trace replay -- and
 the oracle asserts that they agree bit for bit (reports, statistics,
 cycles, and the internal accelerator state: IT table, Idempotent-Filter

@@ -4,8 +4,9 @@ For a fuzz case the oracle captures the log-record stream once, then runs
 it through every consumption path of the platform and asserts agreement:
 
 * **record legs** (no cache hierarchy, directly comparable bit for bit):
-  the per-record ``consume`` loop (the reference), ``consume_batch``,
-  the run-grouped :class:`~repro.lba.columnar.ColumnarEngine` (scalar
+  the per-record ``consume`` loop (the reference), the live platforms'
+  per-PC translated consumer (``EventDispatcher.translated``), the
+  run-grouped :class:`~repro.lba.columnar.ColumnarEngine` (scalar
   paths pinned via ``kernels=False``), the same engine with the vectorized
   NumPy kernel tier enabled (the ``numpy`` leg -- scalar-identical on
   numpy-less hosts), and offline replay of a trace-file round-trip
@@ -60,13 +61,14 @@ from repro.workloads.generator import (
     manifest_for,
 )
 
-#: Engine legs the oracle knows, in execution order.  ``columnar`` pins the
+#: Engine legs the oracle knows, in execution order.  ``translated`` is the
+#: live platforms' per-PC translated consumer; ``columnar`` pins the
 #: engine to its scalar paths; ``numpy`` runs the same engine with the
 #: vectorized kernel tier enabled (on numpy-less hosts the tier is absent
 #: and the leg degenerates to a second scalar run, still checked).
 DEFAULT_ENGINES = (
     "consume",
-    "consume_batch",
+    "translated",
     "columnar",
     "numpy",
     "trace_replay",
@@ -181,10 +183,11 @@ def _run_consume(records, lifeguard_cls) -> _RecordLegOutcome:
     return _finish(lifeguard, accelerator, dispatcher, cycles)
 
 
-def _run_consume_batch(records, lifeguard_cls) -> _RecordLegOutcome:
+def _run_translated(records, lifeguard_cls) -> _RecordLegOutcome:
     lifeguard = lifeguard_cls()
     accelerator, dispatcher = build_pipeline(lifeguard)
-    cycles = dispatcher.consume_batch(records)
+    consume = dispatcher.translated()
+    cycles = sum(consume(record) for record in records)
     return _finish(lifeguard, accelerator, dispatcher, cycles)
 
 
@@ -205,7 +208,7 @@ def _run_numpy(records, lifeguard_cls) -> _RecordLegOutcome:
 
 
 _RECORD_LEGS = {
-    "consume_batch": _run_consume_batch,
+    "translated": _run_translated,
     "columnar": _run_columnar,
     "numpy": _run_numpy,
 }

@@ -38,7 +38,7 @@ run-grouped interleaving equivalent to the scalar order:
 The engine only vectorizes when the dispatcher has no cache hierarchy
 attached (offline replay); with a hierarchy the per-event metadata
 addresses feed the cache model, and the engine transparently degrades to
-the batched scalar path.
+a per-record ``consume`` loop.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class ColumnarEngine:
             self._kernel_tier = kernels
         #: vectorized steps need usage-count cycle charging only; a cache
         #: hierarchy needs the actual metadata addresses per event, so the
-        #: engine falls back to the batched scalar path then.
+        #: engine falls back to the per-record reference path then.
         self.supported = dispatcher.hierarchy is None
         self.it = self.accelerator.it
         self.filter = self.accelerator.idempotent_filter
@@ -267,13 +267,20 @@ class ColumnarEngine:
         segment) after this returns.
         """
         if not self.supported:
-            return self.dispatcher.consume_batch(columns.records())
+            consume = self.dispatcher.consume
+            return sum(consume(record) for record in columns.records())
         self._begin_columns(columns)
-        # The telemetry check is the whole disabled-mode cost: one
-        # attribute load and one branch per chunk.
-        if OBS.enabled and OBS.recorder is not None:
-            return self._consume_runs_observed(columns, OBS.recorder)
-        return self._consume_runs(columns)
+        try:
+            # The telemetry check is the whole disabled-mode cost: one
+            # attribute load and one branch per chunk.
+            if OBS.enabled and OBS.recorder is not None:
+                return self._consume_runs_observed(columns, OBS.recorder)
+            return self._consume_runs(columns)
+        finally:
+            if self._kernel_tier is not None:
+                # Its array views must not outlive the call: the caller may
+                # release shared-memory columns right after it returns.
+                self._kernel_tier.release_columns()
 
     def _begin_columns(self, columns) -> None:
         """Refresh caches, zero the per-batch counters, ensure runs exist."""

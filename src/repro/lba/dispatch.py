@@ -13,12 +13,21 @@ lifeguard-core cycles:
   table load) otherwise, and the software miss-handler cost on M-TLB misses;
 * cache latencies for every metadata address the handler touched, through
   the lifeguard core's private L1/shared L2.
+
+:meth:`EventDispatcher.consume` is the reference implementation of that
+loop: trace replay's fallback rows, the fuzz oracle and the conformance
+matrix check every other engine against it.  The live platforms run its
+per-PC translated twin, :meth:`EventDispatcher.translated`
+(:mod:`repro.lba.translate`), which decides the ``nlba`` dispatch, ETCT
+entries, IT transition and filter applicability once per static
+instruction and shape instead of once per record, and falls back to
+:meth:`consume` for annotation records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from repro.cache.hierarchy import AccessType, MemoryHierarchy
 from repro.core.accelerator import EventAccelerator
@@ -87,6 +96,27 @@ class EventDispatcher:
         self._metadata_read = (
             hierarchy.port(core_index, AccessType.DATA_READ) if hierarchy is not None else None
         )
+        #: translation counters of :meth:`translated` (bumped on rare paths
+        #: only): shapes translated, PC re-points by reason, and records sent
+        #: to the reference :meth:`consume` by reason
+        self.translate_shapes = 0
+        self.translate_misses = {"shape": 0}
+        self.translate_fallbacks = {"annotation": 0}
+        self._translated: Optional[Callable[[Record], int]] = None
+
+    def translated(self) -> Callable[[Record], int]:
+        """The per-PC translated twin of :meth:`consume` (built once).
+
+        Returns ``consume(record) -> cycles`` from
+        :class:`repro.lba.translate.TranslatedConsumer`, bit-identical to
+        :meth:`consume` and sharing this dispatcher's statistics.  The live
+        platforms drive it; :meth:`consume` stays the reference.
+        """
+        if self._translated is None:
+            from repro.lba.translate import TranslatedConsumer
+
+            self._translated = TranslatedConsumer(self).consume
+        return self._translated
 
     def consume(self, record: Record) -> int:
         """Process one log record; returns the lifeguard-core cycles it cost."""
@@ -124,73 +154,3 @@ class EventDispatcher:
             cycles += event_cycles
         stats.lifeguard_cycles += cycles
         return cycles
-
-    def consume_batch(self, records: Iterable[Record]) -> int:
-        """Process a record sequence; returns the total lifeguard-core cycles.
-
-        The batched twin of :meth:`consume`: per-record accounting is
-        bit-identical (same events, same handler invocations, same cycle
-        charges), but the mapper, handler table, translation costs and
-        stats counters are hoisted out of the per-record loop and folded
-        into the :class:`DispatchStats` once at the end.  This is the entry
-        point trace replay uses to push whole decoded chunks through the
-        pipeline.
-        """
-        stats = self.stats
-        mapper = self.lifeguard.mapper()
-        begin_event = mapper.begin_event
-        end_event = mapper.end_event
-        process = self.accelerator.process
-        table = self._table
-        metadata_read = self._metadata_read
-        translation_instructions = self._translation.instructions
-        miss_cost = self._miss_cost
-
-        records_consumed = 0
-        events_handled = 0
-        handler_total = 0
-        mapping_total = 0
-        miss_total = 0
-        total_cycles = 0
-        try:
-            for record in records:
-                records_consumed += 1
-                events = process(record)
-                if not events:
-                    continue
-                cycles = 0
-                for event in events:
-                    entry = table[event.event_type.ordinal]
-                    if entry is None or entry.handler is None:
-                        continue
-                    events_handled += 1
-                    begin_event()
-                    entry.handler(event)
-                    usage = end_event()
-
-                    instructions = entry.handler_instructions
-                    mapping_instr = usage.translations * translation_instructions
-                    miss_instr = usage.mtlb_misses * miss_cost
-                    handler_total += instructions
-                    mapping_total += mapping_instr
-                    miss_total += miss_instr
-
-                    event_cycles = NLBA_CYCLES + instructions + mapping_instr + miss_instr
-                    if metadata_read is not None:
-                        for metadata_address in usage.metadata_addresses:
-                            event_cycles += metadata_read(metadata_address, 4)
-                    else:
-                        event_cycles += len(usage.metadata_addresses)
-                    cycles += event_cycles
-                total_cycles += cycles
-        finally:
-            # Fold the hoisted counters in even if a handler raised, so the
-            # stats stay consistent with the work actually performed (as the
-            # incrementally-updating per-record path would report).
-            stats.records_consumed += records_consumed
-            stats.events_handled += events_handled
-            stats.handler_instructions += handler_total
-            stats.mapping_instructions += mapping_total
-            stats.miss_handler_instructions += miss_total
-            stats.lifeguard_cycles += total_cycles
-        return total_cycles

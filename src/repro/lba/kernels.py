@@ -152,6 +152,16 @@ class KernelTier:
 
     # ------------------------------------------------------------------ columns
 
+    def release_columns(self) -> None:
+        """Drop the cached array views of the last column set.
+
+        ``np.frombuffer`` views of memoryview-backed columns export the
+        shared-memory buffer; while one is alive the segment cannot be
+        closed (``BufferError``).
+        """
+        self._cols = None
+        self._cache = {}
+
     def _arr(self, cols, name):
         """Int64 array view of one column (cached per column set).
 

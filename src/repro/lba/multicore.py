@@ -323,6 +323,8 @@ class _LifeguardShard:
         self.dispatcher = EventDispatcher(
             lifeguard, self.accelerator, hierarchy, core_index=core_index
         )
+        #: the live loop's consumer: the dispatcher's per-PC translation
+        self.consume = self.dispatcher.translated()
         self.forwarded_records = 0
 
     def finish(self, timing: TimingBreakdown) -> ShardOutcome:
@@ -449,7 +451,7 @@ class MultiCoreLBASystem:
             # never for this record's own consumption on another shard.
             drain_to = coupling.drain_level() if barrier else None
             primary = router.route(record)
-            cycles = shards[primary].dispatcher.consume(record)
+            cycles = shards[primary].consume(record)
             coupling.observe(core, primary, app_cost, cycles, drain_to=drain_to)
             targets = router.forward_targets(record, primary)
             if targets:
@@ -459,7 +461,7 @@ class MultiCoreLBASystem:
                 for target in targets:
                     shard = shards[target]
                     shard.forwarded_records += 1
-                    cycles = shard.dispatcher.consume(record)
+                    cycles = shard.consume(record)
                     coupling.observe(core, target, 0, cycles, drain_to=drain_to)
         timings = coupling.finish()
         outcomes = [shard.finish(timing) for shard, timing in zip(shards, timings)]

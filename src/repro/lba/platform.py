@@ -105,7 +105,7 @@ class LBASystem:
     def run(self, config_label: str = "") -> MonitoringResult:
         """Run the monitored program to completion and return the result."""
         account = self.producer.account
-        consume = self.dispatcher.consume
+        consume = self.dispatcher.translated()
         observe = self.coupling.observe
         for record in iter_machine_records(self.machine, self.max_instructions):
             app_cost = account(record)

@@ -216,6 +216,10 @@ def collect_pipeline(
     ``mtlb`` set to ``None``; the required counter names are still emitted
     (as zeros) so snapshot schemas stay stable across configurations.
 
+    The dispatcher's translation counters (``dispatch.translate.shapes``,
+    ``dispatch.translate.miss.shape``, ``dispatch.translate.fallback.annotation``)
+    are read the same way.
+
     ``engine`` is a :class:`~repro.lba.columnar.ColumnarEngine` (or any
     object with ``kernel_runs`` / ``kernel_fallbacks`` attributes); its
     vectorized-kernel tier counters are plain integers read here once at
@@ -280,6 +284,17 @@ def collect_pipeline(
             disp.miss_handler_instructions
         )
         registry.counter("dispatch.lifeguard_cycles").inc(disp.lifeguard_cycles)
+        # Per-PC translation of the live loop (plain integers on the
+        # dispatcher; zeros when only the reference path ran).
+        registry.counter("dispatch.translate.shapes").inc(
+            getattr(dispatcher, "translate_shapes", 0)
+        )
+        for prefix, reasons in (
+            ("miss", getattr(dispatcher, "translate_misses", {"shape": 0})),
+            ("fallback", getattr(dispatcher, "translate_fallbacks", {"annotation": 0})),
+        ):
+            for reason, count in reasons.items():
+                registry.counter(f"dispatch.translate.{prefix}.{reason}").inc(count)
         # Always present (zeros without a columnar engine or without the
         # kernel tier) so snapshot schemas stay stable.
         registry.counter("dispatch.kernel_runs")

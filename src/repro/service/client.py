@@ -20,7 +20,12 @@ import os
 import uuid
 from typing import Optional
 
-from repro.service.protocol import chunk_crc, read_message, write_message
+from repro.service.protocol import (
+    attach_payload_field,
+    chunk_crc,
+    read_message,
+    write_message,
+)
 
 DEFAULT_CHUNK_BYTES = 64 * 1024
 
@@ -78,7 +83,7 @@ class GatewayClient:
         message = await read_message(self._reader)
         if message is None:
             raise ConnectionError("gateway closed the connection")
-        return message[0]
+        return attach_payload_field(*message)
 
     async def _call_ok(self, header: dict) -> dict:
         reply = await self._call(header)

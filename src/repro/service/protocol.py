@@ -7,7 +7,11 @@ streams):
 * one frame = a single JSON header line (UTF-8, ``\\n``-terminated)
   optionally followed by ``header["length"]`` bytes of binary payload;
 * the header carries ``op`` plus op-specific fields; replies carry
-  ``ok`` and either result fields or ``error``.
+  ``ok`` and either result fields or ``error``;
+* a reply field that can outgrow the header limit (a settled session's
+  report) travels as a JSON payload instead: the header names it in
+  ``payload_field`` and :func:`attach_payload_field` puts it back, so the
+  caller sees the same reply dict either way.
 
 Chunk frames are *fire and forget* -- the client pipelines them without
 waiting for acks.  Flow control is the transport itself: when a
@@ -74,6 +78,32 @@ def write_message(
     writer.write(json.dumps(header, sort_keys=True).encode() + b"\n")
     if payload:
         writer.write(payload)
+
+
+#: Header field naming the reply field carried as the frame's JSON payload.
+PAYLOAD_FIELD = "payload_field"
+
+
+def detach_payload_field(header: dict, field: str) -> Tuple[dict, bytes]:
+    """Move ``header[field]`` into a JSON payload (``b""`` when absent or None)."""
+    if header.get(field) is None:
+        return header, b""
+    header = dict(header)
+    payload = json.dumps(header.pop(field), sort_keys=True).encode()
+    header[PAYLOAD_FIELD] = field
+    return header, payload
+
+
+def attach_payload_field(header: dict, payload: bytes) -> dict:
+    """Inverse of :func:`detach_payload_field`: restore the payload's field."""
+    field = header.pop(PAYLOAD_FIELD, None)
+    if field is None:
+        return header
+    try:
+        header[field] = json.loads(payload)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ProtocolError(f"malformed {field} payload: {exc}") from exc
+    return header
 
 
 def chunk_crc(payload: bytes) -> int:

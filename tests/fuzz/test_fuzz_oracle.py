@@ -1,7 +1,7 @@
 """Tier-1 differential-fuzzing block plus oracle mutation smoke tests.
 
 Every seed of the tier-1 block runs the full engine matrix: per-record
-``consume`` (reference), ``consume_batch``, the columnar
+``consume`` (reference), the translated consumer, the columnar
 engine, a trace-file round-trip replay, the live dual-core platform, and
 the multi-core platform at N in {1, 2, 4} -- asserting bit-identical
 reports/stats/cycles (and internal IT/IF/M-TLB state for the in-process
@@ -54,28 +54,46 @@ class TestOracleCatchesMutations:
         assert excinfo.value.leg == "columnar"
         assert excinfo.value.lifeguard == "MemCheck"
 
-    def test_record_dropping_batch_dispatch_is_caught(self, monkeypatch):
-        original = EventDispatcher.consume_batch
+    def test_record_dropping_translated_dispatch_is_caught(self, monkeypatch):
+        original = EventDispatcher.translated
 
-        def dropping(self, records):
-            materialized = list(records)
-            return original(self, materialized[:-1])  # silently drop one record
+        def dropping(self):
+            consume = original(self)
+            dropped = []
 
-        monkeypatch.setattr(EventDispatcher, "consume_batch", dropping)
+            def consume_all_but_first(record):
+                if not dropped:
+                    dropped.append(record)  # silently drop one record
+                    return 0
+                return consume(record)
+
+            return consume_all_but_first
+
+        monkeypatch.setattr(EventDispatcher, "translated", dropping)
         with pytest.raises(FuzzFailure) as excinfo:
-            run_seed(0, engines=("consume", "consume_batch"), lifeguards=["MemCheck"])
-        assert excinfo.value.leg == "consume_batch"
+            run_seed(0, engines=("consume", "translated"), lifeguards=["MemCheck"])
+        assert excinfo.value.leg == "translated"
 
     def test_miscounted_cycles_are_caught(self, monkeypatch):
-        original = EventDispatcher.consume_batch
+        original = EventDispatcher.translated
 
-        def inflated(self, records):
-            return original(self, records) + 1  # off-by-one in the returned cycles
+        def inflated(self):
+            consume = original(self)
+            charged = []
 
-        monkeypatch.setattr(EventDispatcher, "consume_batch", inflated)
+            def consume_with_extra_cycle(record):
+                cycles = consume(record)
+                if not charged:
+                    charged.append(record)
+                    cycles += 1  # off-by-one in the returned cycles
+                return cycles
+
+            return consume_with_extra_cycle
+
+        monkeypatch.setattr(EventDispatcher, "translated", inflated)
         with pytest.raises(FuzzFailure) as excinfo:
-            run_seed(0, engines=("consume", "consume_batch"), lifeguards=["AddrCheck"])
-        assert excinfo.value.leg == "consume_batch"
+            run_seed(0, engines=("consume", "translated"), lifeguards=["AddrCheck"])
+        assert excinfo.value.leg == "translated"
         assert "total cycles diverge" in str(excinfo.value)
 
 

@@ -4,7 +4,8 @@ Five consumption paths must agree bit for bit on every cell of the
 matrix:
 
 * the per-record dispatch loop (``EventDispatcher.consume``),
-* the batched dispatch loop (``EventDispatcher.consume_batch``),
+* the per-PC translated consumer the live platforms run
+  (``EventDispatcher.translated``),
 * the run-grouped columnar engine (``ColumnarEngine.consume_columns``
   over a structure-of-arrays flattening of the record stream), pinned
   to its scalar paths via ``kernels=False``,
@@ -75,10 +76,11 @@ def _run_per_record(records, lifeguard_name):
     return lifeguard, accelerator, dispatcher, cycles
 
 
-def _run_batched(records, lifeguard_name):
+def _run_translated(records, lifeguard_name):
     lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
     accelerator, dispatcher = build_pipeline(lifeguard)
-    cycles = dispatcher.consume_batch(records)
+    consume = dispatcher.translated()
+    cycles = sum(consume(record) for record in records)
     lifeguard.finalize()
     return lifeguard, accelerator, dispatcher, cycles
 
@@ -120,18 +122,24 @@ def _assert_accelerator_state_equal(ref, col):
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
-def test_batched_dispatch_matches_per_record(record_streams, lifeguard, workload):
-    """``consume_batch`` is bit-identical to a ``consume`` loop on every cell."""
+def test_translated_dispatch_matches_per_record(record_streams, lifeguard, workload):
+    """The translated consumer is bit-identical to a ``consume`` loop on every cell.
+
+    Same comparison depth as the columnar leg: stats, cycles, reports,
+    mapper counters and the internal accelerator state.
+    """
     records = record_streams(workload)
     assert records, f"workload {workload} produced no records"
     per = _run_per_record(records, lifeguard)
-    batched = _run_batched(records, lifeguard)
+    translated = _run_translated(records, lifeguard)
     # .diff() names exactly which counters diverged on failure.
-    assert per[2].stats.diff(batched[2].stats) == {}  # DispatchStats
-    assert per[1].stats == batched[1].stats          # AcceleratorStats
-    assert per[3] == batched[3]                      # total lifeguard cycles
-    assert per[3] == per[2].stats.lifeguard_cycles
-    assert per[0].reports == batched[0].reports      # error reports
+    assert per[2].stats.diff(translated[2].stats) == {}  # DispatchStats
+    assert per[1].stats == translated[1].stats         # AcceleratorStats
+    assert per[3] == translated[3]                     # total lifeguard cycles
+    assert translated[3] == translated[2].stats.lifeguard_cycles
+    assert per[0].reports == translated[0].reports     # error reports
+    assert per[0].mapper_stats() == translated[0].mapper_stats()
+    _assert_accelerator_state_equal(per[1], translated[1])
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -8,7 +8,7 @@ pin the tier's edges:
   scalar engine (reports, DispatchStats, AcceleratorStats, cycles, mapper
   counters and the internal accelerator ``state_signature()``),
 * length-1 runs, mixed-ordinal chunks and chunk-split runs behave,
-* a hierarchy-attached engine falls back to batched dispatch untouched,
+* a hierarchy-attached engine falls back to per-record dispatch untouched,
 * zero-copy ``memoryview``-backed columns (the shared-memory replay
   representation) feed the kernels without materialisation,
 * addresses beyond int64 decline admission instead of silently wrapping,
@@ -182,8 +182,8 @@ def test_mixed_ordinal_chunks_bit_identical(lifeguard):
 
 
 def test_hierarchy_attached_engine_falls_back_to_batched():
-    """With a cache hierarchy the engine defers to ``consume_batch`` --
-    the kernel tier never sees the batch and its counters stay zero."""
+    """With a cache hierarchy the engine defers to a per-record ``consume``
+    loop -- the kernel tier never sees the batch and its counters stay zero."""
     records = stream(n_blocks=1)
 
     def run(columnar):

@@ -14,16 +14,19 @@ import shutil
 
 import pytest
 
+from repro.core.events import EventType, InstructionRecord
 from repro.faultinject.chaos import CHAOS_LIFEGUARD, build_chaos_trace
 from repro.faultinject.corrupt import flip_chunk_bytes
 from repro.obs.pipeline import validate_snapshot
 from repro.service.client import GatewayClient, GatewayError, upload_trace
+from repro.memory.address_space import SegmentLayout
 from repro.service.gateway import GatewayConfig, MonitoringGateway, report_document
+from repro.service.protocol import MAX_HEADER_BYTES
 from repro.service.session import SessionState
 from repro.service.store import SessionStore
 from repro.trace.replay import ParallelReplay
 from repro.trace.supervisor import SupervisorPolicy
-from repro.trace.tracefile import TraceReader
+from repro.trace.tracefile import TraceReader, TraceWriter
 
 WORKERS = 2
 POLICY = SupervisorPolicy(
@@ -341,5 +344,34 @@ class TestProbesAndMetrics:
                 reply = await client.status("nope")
             assert reply["ok"] is False
             assert reply["error"] == "unknown session"
+
+        _run(_config(tmp_path), body)
+
+
+class TestLargeReports:
+    def test_report_larger_than_a_header_line_arrives_whole(self, tmp_path):
+        """A settled report beyond the 64 KiB header limit rides as payload."""
+        path = str(tmp_path / "wild.lbatrace")
+        heap = SegmentLayout().heap_base
+        with TraceWriter(path) as writer:
+            for n in range(1500):
+                # loads from never-allocated heap words: one report each
+                writer.append(InstructionRecord(
+                    0x1000 + 4 * n, EventType.MEM_TO_REG, dest_reg=n % 8,
+                    src_addr=heap + 4 * n, size=4, is_load=True,
+                ))
+
+        async def body(gateway):
+            reply = await upload_trace(
+                "127.0.0.1", gateway.port, path, session_id="wild",
+            )
+            assert reply["ok"] and reply["state"] == SessionState.SETTLED.value
+            assert "payload_field" not in reply
+            assert len(json.dumps(reply["report"])) > MAX_HEADER_BYTES
+            assert reply["report"]["result"]["errors_detected"] == 1500
+            assert reply["report"] == SessionStore(gateway.config.store_dir).load_report("wild")
+            async with GatewayClient("127.0.0.1", gateway.port) as client:
+                again = await client.report("wild")
+            assert again["report"] == reply["report"]
 
         _run(_config(tmp_path), body)
