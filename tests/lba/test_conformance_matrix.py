@@ -1,11 +1,15 @@
 """Differential conformance matrix: every lifeguard × every workload.
 
-Five consumption paths must agree bit for bit on every cell of the
+Six consumption paths must agree bit for bit on every cell of the
 matrix:
 
 * the per-record dispatch loop (``EventDispatcher.consume``),
 * the per-PC translated consumer the live platforms run
   (``EventDispatcher.translated``),
+* the batched entry point with a cache hierarchy attached
+  (``ColumnarEngine.consume_columns``, which cannot vectorize then and
+  dispatches the rows of the batch one by one), checked against a
+  ``consume`` loop over an identical hierarchy,
 * the run-grouped columnar engine (``ColumnarEngine.consume_columns``
   over a structure-of-arrays flattening of the record stream), pinned
   to its scalar paths via ``kernels=False``,
@@ -36,9 +40,12 @@ the registry.
 
 import pytest
 
+from repro.cache.hierarchy import MemoryHierarchy
+from repro.core.accelerator import AcceleratorConfig, EventAccelerator
 from repro.core.config import SystemConfig
 from repro.lba.capture import LogProducer
 from repro.lba.columnar import ColumnarEngine
+from repro.lba.dispatch import EventDispatcher
 from repro.lba.multicore import MultiCoreLBASystem
 from repro.lba.platform import LBASystem
 from repro.lifeguards import ALL_LIFEGUARDS
@@ -83,6 +90,38 @@ def _run_translated(records, lifeguard_name):
     cycles = sum(consume(record) for record in records)
     lifeguard.finalize()
     return lifeguard, accelerator, dispatcher, cycles
+
+
+def _run_with_hierarchy(records, lifeguard_name, batched):
+    """Consume through a dispatcher that charges a modelled cache hierarchy."""
+    lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
+    config = SystemConfig().gated_for(lifeguard)
+    accelerator = EventAccelerator(lifeguard.etct, AcceleratorConfig.from_system(config))
+    lifeguard.attach_hardware(accelerator.mtlb)
+    hierarchy = MemoryHierarchy(num_cores=2)
+    dispatcher = EventDispatcher(lifeguard, accelerator, hierarchy)
+    if batched:
+        engine = ColumnarEngine(dispatcher, kernels=False)
+        assert not engine.supported, "a hierarchy must force the per-row path"
+        cycles = engine.consume_columns(RecordColumns.from_records(records))
+    else:
+        cycles = sum(dispatcher.consume(record) for record in records)
+    lifeguard.finalize()
+    return lifeguard, accelerator, dispatcher, cycles, hierarchy
+
+
+def _cache_view(hierarchy):
+    """Every cache's statistics and contents, both cores and the shared L2."""
+    caches = []
+    for core in (0, 1):
+        per_core = hierarchy.core(core)
+        caches.extend((per_core.l1i, per_core.l1d))
+    caches.append(hierarchy.l2)
+    return (
+        [cache.stats for cache in caches],
+        [cache.state_signature() for cache in caches],
+        hierarchy.memory_accesses,
+    )
 
 
 def _run_columnar(records, lifeguard_name):
@@ -140,6 +179,30 @@ def test_translated_dispatch_matches_per_record(record_streams, lifeguard, workl
     assert per[0].reports == translated[0].reports     # error reports
     assert per[0].mapper_stats() == translated[0].mapper_stats()
     _assert_accelerator_state_equal(per[1], translated[1])
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
+def test_batched_dispatch_matches_per_record(record_streams, lifeguard, workload):
+    """A batch consumed with a cache hierarchy attached matches a ``consume`` loop.
+
+    This is the columnar engine's fallback: the batch round-trips through
+    :class:`RecordColumns` and every row is dispatched with its metadata
+    reads charged to the hierarchy.  Beyond stats, cycles, reports and the
+    accelerator state, every cache's statistics and contents must match.
+    """
+    records = record_streams(workload)
+    assert records, f"workload {workload} produced no records"
+    per = _run_with_hierarchy(records, lifeguard, batched=False)
+    batched = _run_with_hierarchy(records, lifeguard, batched=True)
+    assert per[2].stats.diff(batched[2].stats) == {}  # DispatchStats
+    assert per[1].stats == batched[1].stats          # AcceleratorStats
+    assert per[3] == batched[3]                      # total lifeguard cycles
+    assert batched[3] == batched[2].stats.lifeguard_cycles
+    assert per[0].reports == batched[0].reports      # error reports
+    assert per[0].mapper_stats() == batched[0].mapper_stats()
+    _assert_accelerator_state_equal(per[1], batched[1])
+    assert _cache_view(per[4]) == _cache_view(batched[4])
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
