@@ -1,9 +1,6 @@
 """Setup shim for environments without PEP 660 editable-install support.
 
-The package has no hard third-party dependencies.  The optional ``fast``
-extra pulls in numpy, which enables the vectorized kernel tier of the
-columnar dispatch engine (``repro.lba.kernels``); without it every path
-runs bit-identically on the pure-Python implementations.
+The package has no third-party dependencies.
 """
 
 from setuptools import find_packages, setup
@@ -13,7 +10,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    extras_require={
-        "fast": ["numpy"],
-    },
 )

@@ -6,10 +6,8 @@ it through every consumption path of the platform and asserts agreement:
 * **record legs** (no cache hierarchy, directly comparable bit for bit):
   the per-record ``consume`` loop (the reference), the live platforms'
   per-PC translated consumer (``EventDispatcher.translated``), the
-  run-grouped :class:`~repro.lba.columnar.ColumnarEngine` (scalar
-  paths pinned via ``kernels=False``), the same engine with the vectorized
-  NumPy kernel tier enabled (the ``numpy`` leg -- scalar-identical on
-  numpy-less hosts), and offline replay of a trace-file round-trip
+  run-grouped :class:`~repro.lba.columnar.ColumnarEngine`, and offline
+  replay of a trace-file round-trip
   (codec encode -> chunked file -> column decode -> columnar dispatch).
   Equality covers error reports,
   :class:`DispatchStats`, :class:`AcceleratorStats`, total lifeguard
@@ -62,15 +60,12 @@ from repro.workloads.generator import (
 )
 
 #: Engine legs the oracle knows, in execution order.  ``translated`` is the
-#: live platforms' per-PC translated consumer; ``columnar`` pins the
-#: engine to its scalar paths; ``numpy`` runs the same engine with the
-#: vectorized kernel tier enabled (on numpy-less hosts the tier is absent
-#: and the leg degenerates to a second scalar run, still checked).
+#: live platforms' per-PC translated consumer; ``columnar`` is the
+#: run-grouped engine offline replay uses.
 DEFAULT_ENGINES = (
     "consume",
     "translated",
     "columnar",
-    "numpy",
     "trace_replay",
     "live",
     "multicore",
@@ -194,14 +189,6 @@ def _run_translated(records, lifeguard_cls) -> _RecordLegOutcome:
 def _run_columnar(records, lifeguard_cls) -> _RecordLegOutcome:
     lifeguard = lifeguard_cls()
     accelerator, dispatcher = build_pipeline(lifeguard)
-    engine = ColumnarEngine(dispatcher, kernels=False)
-    cycles = engine.consume_columns(RecordColumns.from_records(records))
-    return _finish(lifeguard, accelerator, dispatcher, cycles)
-
-
-def _run_numpy(records, lifeguard_cls) -> _RecordLegOutcome:
-    lifeguard = lifeguard_cls()
-    accelerator, dispatcher = build_pipeline(lifeguard)
     engine = ColumnarEngine(dispatcher)
     cycles = engine.consume_columns(RecordColumns.from_records(records))
     return _finish(lifeguard, accelerator, dispatcher, cycles)
@@ -210,7 +197,6 @@ def _run_numpy(records, lifeguard_cls) -> _RecordLegOutcome:
 _RECORD_LEGS = {
     "translated": _run_translated,
     "columnar": _run_columnar,
-    "numpy": _run_numpy,
 }
 
 

@@ -5,7 +5,7 @@ The scalar consumer walks one record object at a time through
 module is its structure-of-arrays twin: a chunk decoded into
 :class:`repro.trace.codec.RecordColumns` is consumed by run-length-grouping
 consecutive rows with the same event ordinal *and* field-presence bitmap,
-and feeding each homogeneous run to a vectorized step:
+and feeding each homogeneous run to one run-level step:
 
 * absorbing Inheritance-Tracking transitions (``mem_to_reg``,
   ``imm_to_reg``, ``reg_self``/``mem_self``) are run-applied by the
@@ -17,7 +17,7 @@ and feeding each homogeneous run to a vectorized step:
   (:meth:`repro.lifeguards.base.Lifeguard.columnar_handlers`) that skip
   :class:`DeliveredEvent` construction entirely;
 * everything else -- annotation records, ``other`` events, lifeguards or
-  configurations without a vectorized twin -- falls back to the scalar
+  configurations without a span twin -- falls back to the scalar
   :meth:`EventDispatcher.consume`, row by row, inside the same pass.
 
 Bit-identity contract: for any column set, ``consume_columns(columns)``
@@ -35,7 +35,7 @@ run-grouped interleaving equivalent to the scalar order:
   flushes, filter lookups) are performed in exact scalar order, row by
   row, whenever a run contains events that could observe them.
 
-The engine only vectorizes when the dispatcher has no cache hierarchy
+The engine only run-groups when the dispatcher has no cache hierarchy
 attached (offline replay); with a hierarchy the per-event metadata
 addresses feed the cache model, and the engine transparently degrades to
 a per-record ``consume`` loop.
@@ -109,27 +109,11 @@ _FAST_SLOTS = (
 class ColumnarEngine:
     """Run-grouped columnar consumer wrapped around an :class:`EventDispatcher`."""
 
-    def __init__(self, dispatcher: EventDispatcher, kernels=None) -> None:
+    def __init__(self, dispatcher: EventDispatcher) -> None:
         self.dispatcher = dispatcher
         self.accelerator = dispatcher.accelerator
         self.lifeguard = dispatcher.lifeguard
-        #: runs consumed by a numpy kernel / runs a kernel declined (read,
-        #: never hooked, by end-of-replay telemetry collection)
-        self.kernel_runs = 0
-        self.kernel_fallbacks = 0
-        #: optional numpy kernel tier: ``None`` disables it (also pass
-        #: ``kernels=False`` explicitly); by default the tier is built from
-        #: the lifeguard's ``columnar_kernels()`` capabilities and is
-        #: ``None`` on numpy-less hosts, keeping today's scalar paths.
-        if kernels is None:
-            from repro.lba.kernels import build_tier
-
-            self._kernel_tier = build_tier(self.lifeguard)
-        elif kernels is False:
-            self._kernel_tier = None
-        else:
-            self._kernel_tier = kernels
-        #: vectorized steps need usage-count cycle charging only; a cache
+        #: run-level steps need usage-count cycle charging only; a cache
         #: hierarchy needs the actual metadata addresses per event, so the
         #: engine falls back to the per-record reference path then.
         self.supported = dispatcher.hierarchy is None
@@ -244,9 +228,6 @@ class ColumnarEngine:
                     _ORD_DEST_REG_OP_MEM, _ORD_DEST_MEM_OP_REG, _ORD_OTHER,
                 ):
                     steps[ordinal] = self._step_prop_no_it
-        tier = self._kernel_tier
-        if tier is not None:
-            tier.install(self, steps)
         self._steps = steps
 
     # ------------------------------------------------------------------ main entry
@@ -270,17 +251,11 @@ class ColumnarEngine:
             consume = self.dispatcher.consume
             return sum(consume(record) for record in columns.records())
         self._begin_columns(columns)
-        try:
-            # The telemetry check is the whole disabled-mode cost: one
-            # attribute load and one branch per chunk.
-            if OBS.enabled and OBS.recorder is not None:
-                return self._consume_runs_observed(columns, OBS.recorder)
-            return self._consume_runs(columns)
-        finally:
-            if self._kernel_tier is not None:
-                # Its array views must not outlive the call: the caller may
-                # release shared-memory columns right after it returns.
-                self._kernel_tier.release_columns()
+        # The telemetry check is the whole disabled-mode cost: one
+        # attribute load and one branch per chunk.
+        if OBS.enabled and OBS.recorder is not None:
+            return self._consume_runs_observed(columns, OBS.recorder)
+        return self._consume_runs(columns)
 
     def _begin_columns(self, columns) -> None:
         """Refresh caches, zero the per-batch counters, ensure runs exist."""

@@ -145,21 +145,6 @@ class MemCheck(Lifeguard):
             EventType.DEST_REG_OP_MEM: (self._fast_dest_reg_op_mem, True),
         }
 
-    def columnar_kernels(self):
-        """NumPy kernel capabilities (see :meth:`Lifeguard.columnar_kernels`)."""
-        return {
-            "check": "memcheck",
-            "fill": "initialized_or",
-            "cond_test": "register_meta",
-            "shadow": self.shadow,
-            "heap_base": self._layout.heap_base,
-            "heap_limit": self._layout.mmap_base,
-            "register_meta": self.register_meta,
-            "reg_flagged": _REG_UNINITIALIZED,
-            "accessible_masks": self._span_accessible_masks,
-            "initialized_masks": self._span_initialized_masks,
-        }
-
     # ------------------------------------------------------------------ region policy
 
     def _in_heap(self, address: int) -> bool:

@@ -220,10 +220,10 @@ def collect_pipeline(
     ``dispatch.translate.miss.shape``, ``dispatch.translate.fallback.annotation``)
     are read the same way.
 
-    ``engine`` is a :class:`~repro.lba.columnar.ColumnarEngine` (or any
-    object with ``kernel_runs`` / ``kernel_fallbacks`` attributes); its
-    vectorized-kernel tier counters are plain integers read here once at
-    the collection point -- the hot dispatch loop is never hooked.
+    ``engine`` is accepted and ignored: the columnar engine keeps no
+    counters of its own (its run and fallback counts reach
+    ``recorder`` run by run), but existing callers such as
+    ``perfbench/replay_mix.py`` still pass it.
     """
     if accelerator is not None:
         for name in REQUIRED_ACCELERATOR_COUNTERS:
@@ -295,15 +295,6 @@ def collect_pipeline(
         ):
             for reason, count in reasons.items():
                 registry.counter(f"dispatch.translate.{prefix}.{reason}").inc(count)
-        # Always present (zeros without a columnar engine or without the
-        # kernel tier) so snapshot schemas stay stable.
-        registry.counter("dispatch.kernel_runs")
-        registry.counter("dispatch.kernel_fallbacks")
-    if engine is not None:
-        registry.counter("dispatch.kernel_runs").inc(getattr(engine, "kernel_runs", 0))
-        registry.counter("dispatch.kernel_fallbacks").inc(
-            getattr(engine, "kernel_fallbacks", 0)
-        )
     if lifeguard is not None:
         mapper = lifeguard.mapper_stats()
         if mapper is not None:

@@ -4,7 +4,9 @@ The conformance matrix proves the engine bit-identical over whole
 workload streams; these tests aim crafted record sequences at the
 run-grouping machinery itself -- runs of length one, runs spanning trace
 chunk boundaries, mixed-ordinal chunks, annotation rows splitting runs,
-and the scalar fallback paths.
+zero-copy ``memoryview``-backed columns, and the scalar fallback paths.
+A dead-path gate replays every program of the replay benchmark and
+checks that only annotation and ``other`` rows leave the columnar steps.
 """
 
 import os
@@ -13,12 +15,15 @@ import pytest
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
+from repro.experiments.harness import capture_trace
 from repro.lba.columnar import ColumnarEngine
 from repro.lba.dispatch import EventDispatcher
 from repro.lifeguards import ALL_LIFEGUARDS
+from repro.obs import observed
 from repro.trace.codec import RecordColumns
-from repro.trace.replay import build_pipeline
+from repro.trace.replay import build_pipeline, replay_trace
 from repro.trace.tracefile import TraceReader, TraceWriter
+from repro.workloads.base import workload_names
 
 HEAP = 0x0900_0000
 
@@ -76,23 +81,40 @@ def _reference(records, lifeguard_name):
     return lifeguard, accelerator, dispatcher, cycles
 
 
-def _columnar(records, lifeguard_name):
+def _columnar(records, lifeguard_name, columns=None):
     lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
     accelerator, dispatcher = build_pipeline(lifeguard)
-    cycles = ColumnarEngine(dispatcher).consume_columns(
-        RecordColumns.from_records(records)
-    )
+    if columns is None:
+        columns = RecordColumns.from_records(records)
+    cycles = ColumnarEngine(dispatcher).consume_columns(columns)
     lifeguard.finalize()
     return lifeguard, accelerator, dispatcher, cycles
 
 
-def _assert_identical(records, lifeguard_name):
+def _assert_identical(records, lifeguard_name, columns=None):
     ref = _reference(records, lifeguard_name)
-    col = _columnar(records, lifeguard_name)
+    col = _columnar(records, lifeguard_name, columns)
     assert ref[2].stats == col[2].stats
     assert ref[1].stats == col[1].stats
     assert ref[3] == col[3]
     assert ref[0].reports == col[0].reports
+    assert ref[0].mapper_stats() == col[0].mapper_stats()
+    assert ref[1].state_signature() == col[1].state_signature()
+
+
+def _mixed_stream():
+    records = [_malloc(0)]
+    for i in range(30):
+        records.append(_load(i))
+        if i % 3 == 0:
+            records.append(_store(i))
+            records.append(_store(i + 1))
+        if i % 5 == 0:
+            records.append(_other(i))
+        if i % 7 == 0:
+            records.append(_malloc(i + 1))
+        records.append(_cond(i))
+    return records
 
 
 @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
@@ -110,18 +132,29 @@ def test_runs_of_length_one(lifeguard):
 @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
 def test_mixed_ordinal_chunks(lifeguard):
     """Short runs of every shape mixed with annotations and ``other``."""
-    records = [_malloc(0)]
-    for i in range(30):
-        records.append(_load(i))
-        if i % 3 == 0:
-            records.append(_store(i))
-            records.append(_store(i + 1))
-        if i % 5 == 0:
-            records.append(_other(i))
-        if i % 7 == 0:
-            records.append(_malloc(i + 1))
-        records.append(_cond(i))
-    _assert_identical(records, lifeguard)
+    _assert_identical(_mixed_stream(), lifeguard)
+
+
+@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
+def test_memoryview_backed_columns(lifeguard):
+    """Zero-copy columns (the shared-memory replay layout) dispatch like lists.
+
+    :meth:`RecordColumns.from_buffers` rebuilds the dense columns as
+    ``memoryview`` casts over one flat buffer; the engine must consume
+    them bit-identically to ``consume`` and keep no view once the caller
+    calls ``release()`` -- a live export would make closing a shared
+    memory segment raise ``BufferError``.
+    """
+    records = _mixed_stream()
+    layout, parts = RecordColumns.from_records(records).to_buffers()
+    backing = bytearray(layout.nbytes)
+    for (_, _, offset, nbytes), part in zip(layout.fields, parts):
+        backing[offset:offset + nbytes] = memoryview(part).cast("B")
+    columns = RecordColumns.from_buffers(layout, backing)
+    assert isinstance(columns.src_addr, memoryview)
+    _assert_identical(records, lifeguard, columns)
+    columns.release()
+    backing.extend(b"\0")  # BufferError while any view is still exported
 
 
 @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
@@ -199,3 +232,52 @@ def test_hand_built_columns_get_runs_lazily():
     ColumnarEngine(dispatcher).consume_columns(columns)
     assert columns.runs
     assert dispatcher.stats.records_consumed == len(records)
+
+
+# ------------------------------------------------------------------ dead-path gate
+
+#: Small enough that capturing all 16 programs takes a few seconds.
+GATE_SCALE = 0.3
+
+
+def _replay_mix_pairs():
+    """The replay benchmark's 38 (program, lifeguard) pairs."""
+    spec = [(program, name) for program in workload_names()
+            for name in ("MemCheck", "AddrCheck", "TaintCheck")]
+    return spec + [(program, "LockSet") for program in workload_names(multithreaded=True)]
+
+
+@pytest.fixture(scope="module")
+def gate_traces(tmp_path_factory):
+    """Capture each program once, on first use, shared by its pairs."""
+    directory = tmp_path_factory.mktemp("gate_traces")
+    paths = {}
+
+    def trace(program):
+        if program not in paths:
+            path = os.fspath(directory / f"{program}.lbatrace")
+            capture_trace(program, path, scale=GATE_SCALE)
+            paths[program] = path
+        return paths[program]
+
+    return trace
+
+
+@pytest.mark.parametrize("program,lifeguard", _replay_mix_pairs())
+def test_replay_stays_on_the_columnar_steps(gate_traces, program, lifeguard):
+    """Dead-path gate: replay of real workloads engages the run-level steps.
+
+    Only annotation and ``other`` rows may fall back to the per-record
+    ``consume``; every instruction shape the bundled programs produce has
+    a columnar step, so at least one run must stay on the columnar path.
+    """
+    with observed() as obs:
+        result = replay_trace(gate_traces(program), lifeguard)
+        counters = obs.registry.snapshot()["counters"]
+    assert counters["dispatch.records_total"] == result.records
+    fallback = counters["dispatch.fallback_records"]
+    assert fallback == (
+        counters.get("dispatch.records.annotation", 0)
+        + counters.get("dispatch.records.other", 0)
+    )
+    assert counters["dispatch.fallback_runs"] < counters["dispatch.runs_total"]

@@ -1,21 +1,17 @@
 """Differential conformance matrix: every lifeguard × every workload.
 
-Six consumption paths must agree bit for bit on every cell of the
+Five consumption paths must agree bit for bit on every cell of the
 matrix:
 
 * the per-record dispatch loop (``EventDispatcher.consume``),
 * the per-PC translated consumer the live platforms run
   (``EventDispatcher.translated``),
 * the batched entry point with a cache hierarchy attached
-  (``ColumnarEngine.consume_columns``, which cannot vectorize then and
+  (``ColumnarEngine.consume_columns``, which cannot run-group then and
   dispatches the rows of the batch one by one), checked against a
   ``consume`` loop over an identical hierarchy,
 * the run-grouped columnar engine (``ColumnarEngine.consume_columns``
-  over a structure-of-arrays flattening of the record stream), pinned
-  to its scalar paths via ``kernels=False``,
-* the same columnar engine with the vectorized NumPy kernel tier
-  enabled (on hosts without numpy the tier is absent and this leg
-  degenerates to a second scalar run, still fully checked),
+  over a structure-of-arrays flattening of the record stream),
 * the multi-core platform at N=1 against the classic dual-core
   :meth:`LBASystem.run` (which drives the per-record loop through the
   full timing model).
@@ -101,7 +97,7 @@ def _run_with_hierarchy(records, lifeguard_name, batched):
     hierarchy = MemoryHierarchy(num_cores=2)
     dispatcher = EventDispatcher(lifeguard, accelerator, hierarchy)
     if batched:
-        engine = ColumnarEngine(dispatcher, kernels=False)
+        engine = ColumnarEngine(dispatcher)
         assert not engine.supported, "a hierarchy must force the per-row path"
         cycles = engine.consume_columns(RecordColumns.from_records(records))
     else:
@@ -125,15 +121,6 @@ def _cache_view(hierarchy):
 
 
 def _run_columnar(records, lifeguard_name):
-    lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
-    accelerator, dispatcher = build_pipeline(lifeguard)
-    engine = ColumnarEngine(dispatcher, kernels=False)
-    cycles = engine.consume_columns(RecordColumns.from_records(records))
-    lifeguard.finalize()
-    return lifeguard, accelerator, dispatcher, cycles
-
-
-def _run_numpy(records, lifeguard_name):
     lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
     accelerator, dispatcher = build_pipeline(lifeguard)
     engine = ColumnarEngine(dispatcher)
@@ -227,29 +214,6 @@ def test_columnar_dispatch_matches_per_record(record_streams, lifeguard, workloa
     assert per[0].reports == columnar[0].reports     # error reports
     assert per[0].mapper_stats() == columnar[0].mapper_stats()
     _assert_accelerator_state_equal(per[1], columnar[1])
-
-
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
-def test_numpy_kernels_match_per_record(record_streams, lifeguard, workload):
-    """The kernel-enabled columnar engine is bit-identical on every cell.
-
-    Same comparison depth as the scalar columnar leg -- stats, cycles,
-    reports, mapper counters and internal accelerator state.  Without
-    numpy the tier is absent and this re-checks the scalar paths, so the
-    test is meaningful (and must pass) on numpy-less hosts too.
-    """
-    records = record_streams(workload)
-    assert records, f"workload {workload} produced no records"
-    per = _run_per_record(records, lifeguard)
-    vectored = _run_numpy(records, lifeguard)
-    assert per[2].stats.diff(vectored[2].stats) == {}  # DispatchStats
-    assert per[1].stats == vectored[1].stats         # AcceleratorStats
-    assert per[3] == vectored[3]                     # total lifeguard cycles
-    assert vectored[3] == vectored[2].stats.lifeguard_cycles
-    assert per[0].reports == vectored[0].reports     # error reports
-    assert per[0].mapper_stats() == vectored[0].mapper_stats()
-    _assert_accelerator_state_equal(per[1], vectored[1])
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
